@@ -14,7 +14,6 @@ from .dismantle import (
     DismantleResult,
     ExactSearchBudgetError,
     best_removal,
-    best_removal_baseline,
 )
 from .datasets import (
     EdgeListFile,
@@ -49,7 +48,6 @@ from .metrics import (
     cole2,
     gfp_score,
     load_weights,
-    normalize,
     save_weights,
     sigma,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "WeightCoverageError",
     "WeightVector",
     "best_removal",
-    "best_removal_baseline",
     "build_system",
     "ccsd",
     "cole1",
@@ -104,7 +101,6 @@ __all__ = [
     "load_survey_csv",
     "load_weights",
     "match_stats",
-    "normalize",
     "remove_nodes",
     "rmse",
     "save_edge_list",

@@ -13,10 +13,13 @@ Edge-list format: one edge per line as two whitespace-separated labels,
 ``#! node <label>`` directive per isolated node (a plain edge list cannot
 express them); the parser honors the directive and treats every other
 ``#`` line as a comment, so files stay readable by third-party tools.
+
+Every CSV loader in the package reads its rows through :func:`read_rows`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import math
@@ -24,7 +27,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph
 
@@ -248,6 +251,34 @@ def write_suite(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return paths
+
+
+def read_rows(
+    path: str | Path, required: Sequence[str]
+) -> Iterator[tuple[int, dict[str, str]]]:
+    """Yield ``(line_no, row)`` for each data row of a headed CSV file.
+
+    Blank lines are skipped and the ``required`` values are stripped of
+    surrounding whitespace. A header without every ``required`` column
+    raises ``ValueError`` naming the file; a row too short to fill them
+    raises ``ValueError`` naming ``file:line``. Other columns missing from
+    a short row read as ``None``.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        fields = reader.fieldnames or []
+        missing = [name for name in required if name not in fields]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        for row in reader:
+            for name in required:
+                if row[name] is None:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: row has no value for "
+                        f"{name!r}"
+                    )
+                row[name] = row[name].strip()
+            yield reader.line_num, row
 
 
 def bundled_eval_path(name: str) -> Path:

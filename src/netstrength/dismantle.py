@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph, components, remove_nodes
-from .metrics import METRIC_IDS, WeightVector, gfp_score, sigma
+from .metrics import METRIC_IDS, WeightVector, score
 
 DEFAULT_SUBSET_BUDGET = 500_000
 
@@ -91,16 +91,11 @@ def evaluate_removal(
 ) -> float:
     """Objective value of the residual graph after deleting ``removed``."""
     residual = remove_nodes(g, removed)
-    if objective == "proposed":
-        assert weights is not None
-        return sigma(residual, weights).raw
+    sizes = components(residual).sizes
+    # cole1 maximizes c itself: n / c would also vary with the residual's size
     if objective == "cole1":
-        return float(components(residual).count)
-    if objective == "cole2":
-        return float(max(components(residual).sizes))
-    if objective == "gfp":
-        return gfp_score(residual).raw
-    raise ValueError(f"unknown objective {objective!r}")
+        return float(len(sizes))
+    return score(sizes, residual.n, objective, weights)
 
 
 def _candidate_sizes(k: int, allow_fewer: bool) -> range:
@@ -162,9 +157,3 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
         ties=ties,
     )
 
-
-def best_removal_baseline(q: DismantleQuery) -> DismantleResult:
-    """Exact search restricted to the structural baseline objectives."""
-    if q.objective == "proposed":
-        raise ValueError("use best_removal for the proposed objective")
-    return best_removal(q)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .datasets import read_rows
 from .graph import Graph
 from .metrics import METRIC_IDS, WeightVector, compute_metric
 
@@ -259,6 +260,15 @@ def compare_suite(
     )
 
 
+def _members(path: str | Path, line_no: int, text: str) -> frozenset[str]:
+    members = frozenset(
+        token.strip() for token in text.split(MEMBER_SEPARATOR) if token.strip()
+    )
+    if not members:
+        raise ValueError(f"{path}:{line_no}: empty member set")
+    return members
+
+
 def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
     """Read ``graph_id,rank,members,vote_share`` rows into ranked truths.
 
@@ -267,28 +277,13 @@ def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
     candidate of a graph.
     """
     candidates: dict[str, list[tuple[int, frozenset[str], float | None]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        required = ["graph_id", "rank", "members"]
-        missing = [name for name in required if name not in fields]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            members = frozenset(
-                token.strip()
-                for token in row["members"].split(MEMBER_SEPARATOR)
-                if token.strip()
-            )
-            if not members:
-                raise ValueError(
-                    f"{path}: empty member set for graph {row['graph_id']!r}"
-                )
-            share_text = (row.get("vote_share") or "").strip()
-            share = float(share_text) if share_text else None
-            candidates.setdefault(row["graph_id"], []).append(
-                (int(row["rank"]), members, share)
-            )
+    for line_no, row in read_rows(path, ("graph_id", "rank", "members")):
+        share_text = (row.get("vote_share") or "").strip()
+        candidates.setdefault(row["graph_id"], []).append((
+            int(row["rank"]),
+            _members(path, line_no, row["members"]),
+            float(share_text) if share_text else None,
+        ))
     result = {}
     for graph_id, entries in candidates.items():
         entries.sort(key=lambda e: e[0])
@@ -315,58 +310,45 @@ def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
 def load_predictions_csv(path: str | Path) -> dict[str, frozenset[str]]:
     """Read ``graph_id,members`` rows (members ;-separated)."""
     result: dict[str, frozenset[str]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = [name for name in ("graph_id", "members") if name not in fields]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            graph_id = row["graph_id"].strip()
-            if graph_id in result:
-                raise ValueError(f"{path}: duplicate prediction for {graph_id!r}")
-            members = frozenset(
-                token.strip()
-                for token in row["members"].split(MEMBER_SEPARATOR)
-                if token.strip()
+    for line_no, row in read_rows(path, ("graph_id", "members")):
+        graph_id = row["graph_id"]
+        if graph_id in result:
+            raise ValueError(
+                f"{path}:{line_no}: duplicate prediction for {graph_id!r}"
             )
-            if not members:
-                raise ValueError(f"{path}: empty prediction for {graph_id!r}")
-            result[graph_id] = members
+        result[graph_id] = _members(path, line_no, row["members"])
     if not result:
         raise ValueError(f"{path}: no prediction rows")
     return result
 
 
+def _load_graph_values(path: str | Path, column: str) -> dict[str, float]:
+    """Read ``graph_id,<column>`` rows: unique ids, finite values."""
+    result: dict[str, float] = {}
+    for line_no, row in read_rows(path, ("graph_id", column)):
+        graph_id = row["graph_id"]
+        if graph_id in result:
+            raise ValueError(f"{path}:{line_no}: duplicate graph_id {graph_id!r}")
+        try:
+            value = float(row[column])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{path}:{line_no}: {column} must be a finite number, "
+                f"got {row[column]!r}"
+            )
+        result[graph_id] = value
+    if not result:
+        raise ValueError(f"{path}: no {column} rows")
+    return result
+
+
 def load_strength_values_csv(path: str | Path) -> dict[str, float]:
     """Read ``graph_id,value`` rows of normalized strength predictions."""
-    result: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = [name for name in ("graph_id", "value") if name not in fields]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            result[row["graph_id"].strip()] = float(row["value"])
-    if not result:
-        raise ValueError(f"{path}: no value rows")
-    return result
+    return _load_graph_values(path, "value")
 
 
 def load_strength_gt_csv(path: str | Path) -> dict[str, float]:
     """Read ``graph_id,mean_estimate`` rows."""
-    result: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = [
-            name for name in ("graph_id", "mean_estimate") if name not in fields
-        ]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            result[row["graph_id"].strip()] = float(row["mean_estimate"])
-    if not result:
-        raise ValueError(f"{path}: no ground-truth rows")
-    return result
+    return _load_graph_values(path, "mean_estimate")

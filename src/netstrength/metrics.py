@@ -3,19 +3,20 @@
 The central measure weights each connected component by a per-size weight
 and sums ``size * weight * count`` over the size counts; the weights encode
 how strong a component of a given size is perceived to be. Three structural
-baselines (cole1, cole2, gfp) are provided for comparison, plus a divide-by-n
-normalization so graphs of different sizes share one scale.
+baselines (cole1, cole2, gfp) are provided for comparison. All four are
+functions of the component sizes alone and are computed by :func:`score`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph import CCSD, EmptyGraphError, Graph, ccsd, components
+from .graph import EmptyGraphError, Graph, components
 
 EXTENSION_ERROR = "error"
 EXTENSION_CLAMP = "clamp"
@@ -88,9 +89,43 @@ class StrengthValue:
     metric_id: str
 
 
-def _require_nonempty(g: Graph) -> None:
-    if g.n == 0:
+def score(
+    sizes: Sequence[int], n: int, metric_id: str, w: WeightVector | None = None
+) -> float:
+    """Raw value of a metric for ``n`` nodes split into components ``sizes``.
+
+    * ``proposed``  ``sum(i * w_i * count_i)``, summed per size class in
+      ascending size order; ``w`` is required
+    * ``cole1``     ``n / c`` for ``c`` components
+    * ``cole2``     the largest component size
+    * ``gfp``       ``sum(n_i^2) / n``
+
+    Summing ``proposed`` per size class (not per component) keeps the float
+    result a pure function of the size distribution, so equal distributions
+    tie exactly.
+    """
+    if metric_id not in METRIC_IDS:
+        raise ValueError(f"unknown metric id {metric_id!r}")
+    if metric_id == "proposed" and w is None:
+        raise ValueError("the proposed metric requires a weight vector")
+    if n < 1:
         raise EmptyGraphError("strength is undefined for an empty graph")
+    if metric_id == "proposed":
+        raw = 0.0
+        for size, count in sorted(Counter(sizes).items()):
+            raw += size * w.value(size) * count
+        return raw
+    if metric_id == "cole1":
+        return n / len(sizes)
+    if metric_id == "cole2":
+        return float(max(sizes))
+    return sum(s * s for s in sizes) / n
+
+
+def compute_metric(g: Graph, metric_id: str, w: WeightVector | None = None) -> StrengthValue:
+    """Evaluate one metric by id; ``w`` is required for ``proposed``."""
+    raw = score(components(g).sizes, g.n, metric_id, w)
+    return StrengthValue(raw=raw, normalized=raw / g.n, metric_id=metric_id)
 
 
 def sigma(g: Graph, w: WeightVector) -> StrengthValue:
@@ -99,12 +134,7 @@ def sigma(g: Graph, w: WeightVector) -> StrengthValue:
     For a connected graph this reduces to ``n * w_n``. Component sizes not
     covered by ``w`` follow its extension policy.
     """
-    _require_nonempty(g)
-    distribution: CCSD = ccsd(g)
-    raw = 0.0
-    for size, count in distribution.items():
-        raw += size * w.value(size) * count
-    return StrengthValue(raw=raw, normalized=raw / g.n, metric_id="proposed")
+    return compute_metric(g, "proposed", w)
 
 
 def cole1(g: Graph) -> StrengthValue:
@@ -113,16 +143,12 @@ def cole1(g: Graph) -> StrengthValue:
     Maps a connected graph to ``n`` and a fully fragmented one to 1, on the
     same monotone scale as the other measures.
     """
-    _require_nonempty(g)
-    raw = g.n / components(g).count
-    return StrengthValue(raw=raw, normalized=raw / g.n, metric_id="cole1")
+    return compute_metric(g, "cole1")
 
 
 def cole2(g: Graph) -> StrengthValue:
     """Largest-component baseline: size of the biggest component."""
-    _require_nonempty(g)
-    raw = float(max(components(g).sizes))
-    return StrengthValue(raw=raw, normalized=raw / g.n, metric_id="cole2")
+    return compute_metric(g, "cole2")
 
 
 def gfp_score(g: Graph) -> StrengthValue:
@@ -132,31 +158,7 @@ def gfp_score(g: Graph) -> StrengthValue:
     node, i.e. the expected number of nodes affected by a failure seeded at
     a random node.
     """
-    _require_nonempty(g)
-    raw = sum(s * s for s in components(g).sizes) / g.n
-    return StrengthValue(raw=raw, normalized=raw / g.n, metric_id="gfp")
-
-
-def normalize(value: StrengthValue, n: int) -> float:
-    """Raw strength divided by the node count, for cross-size comparison."""
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    return value.raw / n
-
-
-def compute_metric(g: Graph, metric_id: str, w: WeightVector | None = None) -> StrengthValue:
-    """Evaluate one metric by id; ``w`` is required for ``proposed``."""
-    if metric_id == "proposed":
-        if w is None:
-            raise ValueError("the proposed metric requires a weight vector")
-        return sigma(g, w)
-    if metric_id == "cole1":
-        return cole1(g)
-    if metric_id == "cole2":
-        return cole2(g)
-    if metric_id == "gfp":
-        return gfp_score(g)
-    raise ValueError(f"unknown metric id {metric_id!r}")
+    return compute_metric(g, "gfp")
 
 
 def save_weights(w: WeightVector, path: str | Path) -> None:

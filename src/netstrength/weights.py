@@ -10,13 +10,12 @@ the package.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import load_edge_list
+from .datasets import load_edge_list, read_rows
 from .graph import Graph, ccsd
 from .metrics import WeightVector
 
@@ -147,17 +146,10 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
     Records are ordered by graph id so the fitted system is reproducible.
     """
     by_graph: dict[str, list[float]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = [name for name in SURVEY_HEADER if name not in fields]
-        if missing:
-            raise ValueError(f"{path}: missing survey columns {missing}")
-        for row in reader:
-            graph_id = row["graph_id"].strip()
-            if not graph_id:
-                raise ValueError(f"{path}: empty graph_id")
-            by_graph.setdefault(graph_id, []).append(float(row["estimate"]))
+    for line_no, row in read_rows(path, SURVEY_HEADER):
+        if not row["graph_id"]:
+            raise ValueError(f"{path}:{line_no}: empty graph_id")
+        by_graph.setdefault(row["graph_id"], []).append(float(row["estimate"]))
     if not by_graph:
         raise ValueError(f"{path}: survey file contains no records")
     records = []

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import netstrength
 from conftest import disjoint_paths, path_graph
 from netstrength.cli import main
 from netstrength.datasets import bundled_eval_path, save_edge_list
@@ -298,6 +299,19 @@ class TestEval:
         assert code == 1
         assert "no ground truth" in err
 
+    def test_match_mode_short_row(self, capsys, tmp_path):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("graph_id,rank,members\ng1,1\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("graph_id,members\ng1,1\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "match",
+            "--pred", str(pred), "--gt", str(gt),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {gt}:2: ")
+        assert "Traceback" not in err
+
     def test_strength_mode_rmse(self, capsys, tmp_path):
         graph_dir = tmp_path / "graphs"
         graph_dir.mkdir()
@@ -357,6 +371,10 @@ class TestCompare:
 
 
 class TestEntryPoint:
+    def test_public_names_resolve(self):
+        for name in netstrength.__all__:
+            assert getattr(netstrength, name) is not None, name
+
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "netstrength.cli", "--help"],
@@ -366,3 +384,88 @@ class TestEntryPoint:
         for name in ("gen", "strength", "fit-weights", "dismantle", "eval",
                      "compare"):
             assert name in proc.stdout
+
+
+class TestGoldenOutput:
+    """Exact stdout bytes on one seeded suite, pinned across refactors."""
+
+    STRENGTH = {
+        "graph_0": (
+            "metric,raw,normalized\n"
+            "proposed,10.873,0.7766428571428571\n"
+            "cole1,7.0,0.5\n"
+            "cole2,13.0,0.9285714285714286\n"
+            "gfp,12.142857142857142,0.8673469387755102\n"
+        ),
+        "graph_1": (
+            "metric,raw,normalized\n"
+            "proposed,8.8778,0.6341285714285715\n"
+            "cole1,4.666666666666667,0.33333333333333337\n"
+            "cole2,12.0,0.8571428571428571\n"
+            "gfp,10.428571428571429,0.7448979591836735\n"
+        ),
+        "graph_2": (
+            "metric,raw,normalized\n"
+            "proposed,10.674999999999999,0.7625\n"
+            "cole1,14.0,1.0\n"
+            "cole2,14.0,1.0\n"
+            "gfp,14.0,1.0\n"
+        ),
+    }
+    COMPARE = (
+        "graph_id,n,gt_norm,proposed_norm,cole1_norm,cole2_norm,gfp_norm\n"
+        "graph_0,14,0.39285714285714285,0.7766428571428571,0.5,"
+        "0.9285714285714286,0.8673469387755102\n"
+        "graph_1,14,0.5178571428571429,0.6341285714285715,"
+        "0.33333333333333337,0.8571428571428571,0.7448979591836735\n"
+        "graph_2,14,0.21428571428571427,0.7625,1.0,1.0,1.0\n"
+        "rmse:proposed,,,0.39215193596915177,,,\n"
+        "rmse:cole1,,,,0.4700622536407364,,\n"
+        "rmse:cole2,,,,,0.5829383988645355,\n"
+        "rmse:gfp,,,,,,0.5459044597376546\n"
+    )
+    DISMANTLE = {
+        "proposed": '{"k": 2, "objective": "proposed", "removed": ["10", "8"], '
+                    '"residual_value": 7.5569, "ties": 35}\n',
+        "cole1": '{"k": 2, "objective": "cole1", "removed": ["0", "8"], '
+                 '"residual_value": 6.0, "ties": 2}\n',
+        "cole2": '{"k": 2, "objective": "cole2", "removed": ["0", "8"], '
+                 '"residual_value": 4.0, "ties": 1}\n',
+        "gfp": '{"k": 2, "objective": "gfp", "removed": ["0", "8"], '
+               '"residual_value": 3.0, "ties": 1}\n',
+    }
+
+    @pytest.fixture
+    def suite(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "gen", "--model", "gnp", "--n", "14", "--p", "0.13",
+            "--count", "3", "--seed", "3", "--out", str(tmp_path),
+        )
+        assert code == 0
+        return tmp_path
+
+    def test_strength_all_metrics(self, capsys, suite):
+        for graph_id, expected in self.STRENGTH.items():
+            code, out, _ = run_cli(
+                capsys, "strength", str(suite / f"{graph_id}.edges"),
+                "--all-metrics",
+            )
+            assert (code, out) == (0, expected)
+
+    def test_compare(self, capsys, suite, tmp_path):
+        gt = tmp_path / "gt.csv"
+        gt.write_text(
+            "graph_id,mean_estimate\ngraph_0,5.5\ngraph_1,7.25\ngraph_2,3\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "compare", "--graphs", str(suite), "--gt", str(gt),
+        )
+        assert (code, out) == (0, self.COMPARE)
+
+    def test_dismantle_each_objective(self, capsys, suite):
+        for objective, expected in self.DISMANTLE.items():
+            code, out, _ = run_cli(
+                capsys, "dismantle", str(suite / "graph_0.edges"), "--k", "2",
+                "--objective", objective,
+            )
+            assert (code, out) == (0, expected)

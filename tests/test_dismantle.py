@@ -12,7 +12,6 @@ from netstrength.dismantle import (
     DismantleResult,
     ExactSearchBudgetError,
     best_removal,
-    best_removal_baseline,
     evaluate_removal,
 )
 from netstrength.graph import Graph
@@ -117,12 +116,10 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="unknown objective"):
             DismantleQuery(graph=path_graph(4), k=1, objective="degree")
 
-    def test_baseline_entry_point_rejects_proposed(self):
-        q = DismantleQuery(
-            graph=path_graph(4), k=1, objective="proposed", weights=ALL_ONES
-        )
-        with pytest.raises(ValueError, match="best_removal"):
-            best_removal_baseline(q)
+    def test_evaluate_removal_proposed_needs_weights(self):
+        # a ValueError, not an assert that python -O would strip
+        with pytest.raises(ValueError, match="weight vector"):
+            evaluate_removal(path_graph(4), (0,), "proposed")
 
 
 class TestExamples:
@@ -160,14 +157,14 @@ class TestExamples:
 
     def test_path_interior_under_cole2(self):
         q = DismantleQuery(graph=path_graph(4), k=1, objective="cole2")
-        result = best_removal_baseline(q)
+        result = best_removal(q)
         assert result.removed == (1,)
         assert result.residual_value == 2.0
         assert result.ties == 2
 
     def test_cole1_maximizes_component_count(self):
         q = DismantleQuery(graph=star_graph(5), k=1, objective="cole1")
-        result = best_removal_baseline(q)
+        result = best_removal(q)
         assert result.removed == (0,)
         assert result.residual_value == 4.0
 

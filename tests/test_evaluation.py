@@ -283,6 +283,40 @@ class TestLoaders:
         value_path.write_text("graph_id,value\ng,0.7\n")
         assert load_strength_values_csv(value_path) == {"g": 0.7}
 
+    @pytest.mark.parametrize("loader, text", [
+        (load_ranked_gt_csv, "graph_id,rank,members,vote_share\ng0,1,1,\ng1,1\n"),
+        (load_predictions_csv, "graph_id,members\ng0,1\ng1\n"),
+        (load_strength_values_csv, "graph_id,value\ng0,0.5\ng1\n"),
+    ])
+    def test_short_row_names_file_and_line(self, tmp_path, loader, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path}:3: "):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, column", [
+        (load_strength_values_csv, "value"),
+        (load_strength_gt_csv, "mean_estimate"),
+    ])
+    def test_strength_loaders_reject_duplicates(self, tmp_path, loader, column):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"graph_id,{column}\na,0.25\na,0.5\n")
+        with pytest.raises(ValueError, match=f"{path}:3: duplicate"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader, column", [
+        (load_strength_values_csv, "value"),
+        (load_strength_gt_csv, "mean_estimate"),
+    ])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc"])
+    def test_strength_loaders_reject_non_finite(
+        self, tmp_path, loader, column, bad
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"graph_id,{column}\na,0.5\nb,{bad}\n")
+        with pytest.raises(ValueError, match=f"{path}:3: {column} must be"):
+            loader(path)
+
     def test_missing_columns_reported(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,members\ng,1\n")

@@ -17,15 +17,14 @@ from conftest import (
 from netstrength.graph import EmptyGraphError, Graph, components
 from netstrength.metrics import (
     EXTENSION_CLAMP,
-    StrengthValue,
     WeightCoverageError,
     WeightVector,
     cole1,
     cole2,
     gfp_score,
     load_weights,
-    normalize,
     save_weights,
+    score,
     sigma,
 )
 from netstrength.weights import default_weights
@@ -163,14 +162,18 @@ class TestBaselines:
         assert gfp_score(h).raw == gfp_score(g).raw
 
 
-class TestNormalize:
-    def test_examples(self):
-        assert normalize(StrengthValue(20, 1.0, "cole2"), 20) == 1.0
-        assert normalize(StrengthValue(2.769, 0.5538, "proposed"), 5) == (
-            pytest.approx(0.5538)
-        )
-        assert normalize(StrengthValue(1, 0.05, "cole1"), 20) == 0.05
+class TestScore:
+    def test_proposed_connected(self):
+        w = default_weights()
+        assert score((5,), 5, "proposed", w) == 5 * w.value(5)
 
-    def test_rejects_bad_node_count(self):
-        with pytest.raises(ValueError):
-            normalize(StrengthValue(1, 1, "cole1"), 0)
+    def test_gfp_example(self):
+        assert score((2, 1), 3, "gfp") == 5 / 3
+
+    def test_unknown_id(self):
+        with pytest.raises(ValueError, match="unknown metric id"):
+            score((3,), 3, "degree")
+
+    def test_proposed_needs_weights(self):
+        with pytest.raises(ValueError, match="weight vector"):
+            score((3,), 3, "proposed")

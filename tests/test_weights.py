@@ -238,6 +238,12 @@ class TestSurveyCsv:
         with pytest.raises(ValueError, match="participant_id"):
             load_survey_csv(survey, graph_dir)
 
+    def test_short_row_names_file_and_line(self, tmp_path):
+        survey, graph_dir = self.make_inputs(tmp_path)
+        survey.write_text("graph_id,participant_id,estimate\np3,u1,2.0\np3,u2\n")
+        with pytest.raises(ValueError, match=f"{survey}:3: .*'estimate'"):
+            load_survey_csv(survey, graph_dir)
+
     def test_empty_survey(self, tmp_path):
         survey, graph_dir = self.make_inputs(tmp_path)
         survey.write_text("graph_id,participant_id,estimate\n")
