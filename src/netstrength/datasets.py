@@ -14,7 +14,8 @@ Edge-list format: one edge per line as two whitespace-separated labels,
 express them); the parser honors the directive and treats every other
 ``#`` line as a comment, so files stay readable by third-party tools.
 
-Every CSV loader in the package reads its rows through :func:`read_rows`.
+Every CSV loader in the package reads its rows through :func:`read_rows`
+and its numeric cells through :func:`parse_cell`.
 """
 
 from __future__ import annotations
@@ -221,7 +222,21 @@ def load_edge_list(path: str | Path) -> Graph:
 
 
 def save_edge_list(g: Graph, path: str | Path) -> None:
-    """Write a graph as an edge list, preserving labels and isolated nodes."""
+    """Write a graph as an edge list, preserving labels and isolated nodes.
+
+    A label that would not read back as the same node (empty, containing
+    whitespace, starting with ``#``, or repeated) raises ``ValueError``
+    before the file is opened.
+    """
+    seen: set[str] = set()
+    for label in g.labels or ():  # default labels, the node ids, are valid
+        if label.split() != [label] or label.startswith("#") or label in seen:
+            raise ValueError(
+                f"{path}: cannot write label {label!r}: edge-list labels must "
+                f"be unique, non-empty, without whitespace and not start "
+                f"with '#'"
+            )
+        seen.add(label)
     degree = [0] * g.n
     for u, v in g.edges:
         degree[u] += 1
@@ -279,6 +294,26 @@ def read_rows(
                     )
                 row[name] = row[name].strip()
             yield reader.line_num, row
+
+
+def parse_cell(
+    path: str | Path, line_no: int, row: dict[str, str], column: str,
+    kind: type = float,
+) -> float:
+    """Read ``row[column]`` as a finite ``float``, or an ``int`` when
+    ``kind`` is ``int``; anything else raises ``ValueError`` naming
+    ``file:line`` and the column."""
+    text = row[column]
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ValueError(
+            f"{path}:{line_no}: {column} must be {expected}, got {text!r}"
+        )
+    return value
 
 
 def bundled_eval_path(name: str) -> Path:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .datasets import read_rows
+from .datasets import parse_cell, read_rows
 from .graph import Graph
 from .metrics import METRIC_IDS, WeightVector, compute_metric
 
@@ -278,11 +278,13 @@ def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
     """
     candidates: dict[str, list[tuple[int, frozenset[str], float | None]]] = {}
     for line_no, row in read_rows(path, ("graph_id", "rank", "members")):
-        share_text = (row.get("vote_share") or "").strip()
+        share = None
+        if (row.get("vote_share") or "").strip():
+            share = parse_cell(path, line_no, row, "vote_share")
         candidates.setdefault(row["graph_id"], []).append((
-            int(row["rank"]),
+            parse_cell(path, line_no, row, "rank", int),
             _members(path, line_no, row["members"]),
-            float(share_text) if share_text else None,
+            share,
         ))
     result = {}
     for graph_id, entries in candidates.items():
@@ -329,16 +331,7 @@ def _load_graph_values(path: str | Path, column: str) -> dict[str, float]:
         graph_id = row["graph_id"]
         if graph_id in result:
             raise ValueError(f"{path}:{line_no}: duplicate graph_id {graph_id!r}")
-        try:
-            value = float(row[column])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValueError(
-                f"{path}:{line_no}: {column} must be a finite number, "
-                f"got {row[column]!r}"
-            )
-        result[graph_id] = value
+        result[graph_id] = parse_cell(path, line_no, row, column)
     if not result:
         raise ValueError(f"{path}: no {column} rows")
     return result

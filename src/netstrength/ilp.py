@@ -22,18 +22,19 @@ solvers unchanged.
 
 All indices in variable names are 1-based except the size subscript ``t``,
 which ranges from 0 (empty slot) to n.
+
+:func:`build_model` is the one description of the model: its objective,
+its constraint rows and its variable domains. The LP writer
+(:func:`emit_ilp`) and the verifier (:func:`verify_ilp_solution`) only read
+it.
 """
 
 from __future__ import annotations
 
-import logging
-import math
-from typing import Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .graph import Graph
-from .metrics import WeightVector
-
-logger = logging.getLogger(__name__)
+from .metrics import EXTENSION_CLAMP, WeightVector
 
 CONSTRAINT_FAMILIES = (
     "edge-consistency",
@@ -46,6 +47,9 @@ CONSTRAINT_FAMILIES = (
     "binary-domain",
     "integer-domain",
 )
+
+# Slack allowed on integrality and on each row of a solver's assignment.
+TOLERANCE = 1e-6
 
 
 class ConstraintViolationError(ValueError):
@@ -76,40 +80,104 @@ def s_name(t: int) -> str:
     return f"S_{t}"
 
 
+Terms = list[tuple[float, str]]
+
+
+class Row(NamedTuple):
+    """One linear constraint ``sum(terms) <sense> rhs``."""
+
+    family: str
+    label: str
+    terms: Terms
+    sense: str  # "<=", ">=" or "="
+    rhs: int
+
+
+class Model(NamedTuple):
+    """The model for one graph, budget and weight vector.
+
+    ``rows`` is a one-shot generator in emission order. ``binaries`` are
+    0/1 variables; ``generals`` are integers in ``0..upper``.
+    """
+
+    objective: Terms
+    rows: Iterator[Row]
+    binaries: list[str]
+    generals: list[str]
+    upper: int
+
+
+def build_model(g: Graph, k: int, w: WeightVector) -> Model:
+    """Describe the model for ``g`` with removal budget ``k``.
+
+    Requires weights for every size 1..n (clamp policy permitted).
+    """
+    n = g.n
+    if not (1 <= k < n):
+        raise ValueError(f"budget k must satisfy 1 <= k < n, got k={k}, n={n}")
+    slots = range(1, n + 1)
+    sizes = range(n + 1)
+
+    def rows() -> Iterator[Row]:
+        for u, v in sorted(g.edges):
+            a, b = u + 1, v + 1
+            ya, yb = y_name(a), y_name(b)
+            for j in slots:
+                split = [(1.0, x_name(a, j)), (-1.0, x_name(b, j))]
+                yield Row("edge-consistency", f"edge_{a}_{b}_up_{j}",
+                          split + [(-1.0, ya), (-1.0, yb)], "<=", 0)
+                yield Row("edge-consistency", f"edge_{a}_{b}_lo_{j}",
+                          split + [(1.0, ya), (1.0, yb)], ">=", 0)
+        for i in slots:
+            yield Row("vertex-assignment", f"assign_{i}",
+                      [(1.0, x_name(i, j)) for j in slots], "=", 1)
+        for j in slots:
+            yield Row("component-size", f"compsize_{j}",
+                      [(1.0, c_name(j))]
+                      + [(-1.0, x_name(i, j)) for i in slots], "=", 0)
+        yield Row("budget", "budget", [(1.0, y_name(i)) for i in slots],
+                  "<=", k)
+        for j in slots:
+            yield Row("size-indicator", f"indicator_{j}",
+                      [(1.0, m_name(j, t)) for t in sizes], "=", 1)
+        for j in slots:
+            yield Row("size-link", f"sizelink_{j}",
+                      [(1.0, c_name(j))]
+                      + [(-float(t), m_name(j, t)) for t in slots], "=", 0)
+        for t in sizes:
+            yield Row("size-count", f"sizecount_{t}",
+                      [(1.0, s_name(t))]
+                      + [(-1.0, m_name(j, t)) for j in slots], "=", 0)
+
+    objective = [(t * w.value(t), s_name(t)) for t in slots]
+    objective += [(-w.value(1), y_name(i)) for i in slots]
+    binaries = [x_name(i, j) for i in slots for j in slots]
+    binaries += [y_name(i) for i in slots]
+    binaries += [m_name(j, t) for j in slots for t in sizes]
+    generals = [c_name(j) for j in slots] + [s_name(t) for t in sizes]
+    return Model(objective, rows(), binaries, generals, n)
+
+
 def model_variables(n: int) -> list[str]:
-    """All variable names, grouped x, y, m, C, S."""
-    names = [x_name(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    names += [y_name(i) for i in range(1, n + 1)]
-    names += [m_name(j, t) for j in range(1, n + 1) for t in range(n + 1)]
-    names += [c_name(j) for j in range(1, n + 1)]
-    names += [s_name(t) for t in range(n + 1)]
-    return names
+    """All variable names of an ``n``-node model, grouped x, y, m, C, S."""
+    # the variables depend on n alone, not on the edges, budget or weights
+    model = build_model(Graph.build(n, []), 1,
+                        WeightVector((0.0,), EXTENSION_CLAMP))
+    return model.binaries + model.generals
 
 
 _WRAP_WIDTH = 78
 
 
-def _format_terms(terms: list[tuple[float, str]]) -> list[str]:
-    parts: list[str] = []
+def _emit_row(lines: list[str], label: str, terms: Terms, tail: str = "") -> None:
+    """Append one labeled expression, wrapped well below the line-length
+    limits of classic LP readers; continuation lines are indented."""
+    pieces: list[str] = []
     for coefficient, name in terms:
         magnitude = abs(coefficient)
         body = name if magnitude == 1 else f"{magnitude!r} {name}"
-        if not parts:
-            parts.append(body if coefficient >= 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if coefficient >= 0 else f"- {body}")
-    return parts
-
-
-def _emit_row(
-    lines: list[str],
-    label: str,
-    terms: list[tuple[float, str]],
-    tail: str = "",
-) -> None:
-    """Append one labeled expression, wrapped well below the line-length
-    limits of classic LP readers; continuation lines are indented."""
-    pieces = _format_terms(terms)
+        sign = "+ " if coefficient >= 0 else "- "
+        pieces.append(sign + body if pieces or coefficient < 0 else body)
     if tail:
         pieces.append(tail)
     current = f" {label}:"
@@ -128,72 +196,30 @@ def emit_ilp(g: Graph, k: int, w: WeightVector) -> str:
     emitted file has one budget row, 2n edge rows per edge, and binary /
     general sections for the variable groups.
     """
-    n = g.n
-    if not (1 <= k < n):
-        raise ValueError(f"budget k must satisfy 1 <= k < n, got k={k}, n={n}")
-    size_weight = {t: w.value(t) for t in range(1, n + 1)}
-
+    model = build_model(g, k, w)
     lines = [
-        f"\\ component-size strength removal model: n={n}, "
+        f"\\ component-size strength removal model: n={g.n}, "
         f"edges={g.edge_count}, k={k}",
         "Minimize",
     ]
-    objective = [(t * size_weight[t], s_name(t)) for t in range(1, n + 1)]
-    objective += [(-size_weight[1], y_name(i)) for i in range(1, n + 1)]
-    _emit_row(lines, "obj", objective)
-
+    _emit_row(lines, "obj", model.objective)
     lines.append("Subject To")
-    slots = range(1, n + 1)
-    for u, v in sorted(g.edges):
-        a, b = u + 1, v + 1
-        for j in slots:
-            relax = [(-1.0, y_name(a)), (-1.0, y_name(b))]
-            up = [(1.0, x_name(a, j)), (-1.0, x_name(b, j))] + relax
-            _emit_row(lines, f"edge_{a}_{b}_up_{j}", up, "<= 0")
-            lo = [(1.0, x_name(a, j)), (-1.0, x_name(b, j))] + [
-                (1.0, y_name(a)), (1.0, y_name(b))
-            ]
-            _emit_row(lines, f"edge_{a}_{b}_lo_{j}", lo, ">= 0")
-    for i in slots:
-        _emit_row(lines, f"assign_{i}",
-                  [(1.0, x_name(i, j)) for j in slots], "= 1")
-    for j in slots:
-        terms = [(1.0, c_name(j))] + [(-1.0, x_name(i, j)) for i in slots]
-        _emit_row(lines, f"compsize_{j}", terms, "= 0")
-    _emit_row(lines, "budget", [(1.0, y_name(i)) for i in slots], f"<= {k}")
-    for j in slots:
-        _emit_row(lines, f"indicator_{j}",
-                  [(1.0, m_name(j, t)) for t in range(n + 1)], "= 1")
-    for j in slots:
-        terms = [(1.0, c_name(j))]
-        terms += [(-float(t), m_name(j, t)) for t in range(1, n + 1)]
-        _emit_row(lines, f"sizelink_{j}", terms, "= 0")
-    for t in range(n + 1):
-        terms = [(1.0, s_name(t))] + [(-1.0, m_name(j, t)) for j in slots]
-        _emit_row(lines, f"sizecount_{t}", terms, "= 0")
-
+    for row in model.rows:
+        _emit_row(lines, row.label, row.terms, f"{row.sense} {row.rhs}")
     lines.append("Bounds")
-    for j in slots:
-        lines.append(f" 0 <= {c_name(j)} <= {n}")
-    for t in range(n + 1):
-        lines.append(f" 0 <= {s_name(t)} <= {n}")
-
-    binaries = [x_name(i, j) for i in slots for j in slots]
-    binaries += [y_name(i) for i in slots]
-    binaries += [m_name(j, t) for j in slots for t in range(n + 1)]
-    lines.append("Binaries")
-    for start in range(0, len(binaries), 8):
-        lines.append(" " + " ".join(binaries[start:start + 8]))
-    generals = [c_name(j) for j in slots] + [s_name(t) for t in range(n + 1)]
-    lines.append("Generals")
-    for start in range(0, len(generals), 8):
-        lines.append(" " + " ".join(generals[start:start + 8]))
+    lines += [f" 0 <= {name} <= {model.upper}" for name in model.generals]
+    for title, names in (("Binaries", model.binaries),
+                         ("Generals", model.generals)):
+        lines.append(title)
+        for start in range(0, len(names), 8):
+            lines.append(" " + " ".join(names[start:start + 8]))
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
-def _near_integer(value: float, tol: float) -> bool:
-    return abs(value - round(value)) <= tol
+def _in_domain(value: float, upper: int) -> bool:
+    nearest = round(value)
+    return abs(value - nearest) <= TOLERANCE and 0 <= nearest <= upper
 
 
 def verify_ilp_solution(
@@ -201,122 +227,45 @@ def verify_ilp_solution(
     k: int,
     w: WeightVector,
     assignment: Mapping[str, float],
-    *,
-    tol: float = 1e-6,
-    compare_enumeration: bool = False,
 ) -> float:
     """Check an assignment against every constraint family; return the
     model objective.
 
-    Raises :class:`ConstraintViolationError` naming the violated family.
-    With ``compare_enumeration`` the objective is also compared against the
-    exhaustive-search optimum for the same budget and a warning is logged
-    on mismatch (expected for weight vectors where parking removed nodes in
-    surviving slots pays off; see the module docstring).
+    Raises :class:`ConstraintViolationError` naming the family of the first
+    violated domain or row, within :data:`TOLERANCE`.
     """
-    n = g.n
-    if not (1 <= k < n):
-        raise ValueError(f"budget k must satisfy 1 <= k < n, got k={k}, n={n}")
-    names = model_variables(n)
+    model = build_model(g, k, w)
+    names = model.binaries + model.generals
     missing = [name for name in names if name not in assignment]
     if missing:
         raise ValueError(
             f"assignment is missing {len(missing)} variable(s), "
             f"e.g. {missing[:5]}"
         )
+    value = {name: float(assignment[name]) for name in names}
 
-    def val(name: str) -> float:
-        return float(assignment[name])
-
-    slots = range(1, n + 1)
-    for i in slots:
-        for name in [y_name(i)] + [x_name(i, j) for j in slots]:
-            v = val(name)
-            if not (_near_integer(v, tol) and round(v) in (0, 1)):
-                raise ConstraintViolationError(
-                    "binary-domain", f"{name} = {v} is not binary"
-                )
-    for j in slots:
-        for t in range(n + 1):
-            v = val(m_name(j, t))
-            if not (_near_integer(v, tol) and round(v) in (0, 1)):
-                raise ConstraintViolationError(
-                    "binary-domain", f"{m_name(j, t)} = {v} is not binary"
-                )
-    for name in [c_name(j) for j in slots] + [s_name(t) for t in range(n + 1)]:
-        v = val(name)
-        if not _near_integer(v, tol) or round(v) < 0 or round(v) > n:
+    for name in model.binaries:
+        if not _in_domain(value[name], 1):
             raise ConstraintViolationError(
-                "integer-domain", f"{name} = {v} is not an integer in 0..{n}"
+                "binary-domain", f"{name} = {value[name]} is not binary"
             )
-
-    for u, v_node in sorted(g.edges):
-        a, b = u + 1, v_node + 1
-        relax = val(y_name(a)) + val(y_name(b))
-        for j in slots:
-            diff = val(x_name(a, j)) - val(x_name(b, j))
-            if diff > relax + tol or diff < -relax - tol:
-                raise ConstraintViolationError(
-                    "edge-consistency",
-                    f"edge ({a}, {b}) splits across slot {j} with no removal "
-                    f"credit (x difference {diff}, credit {relax})",
-                )
-    for i in slots:
-        total = sum(val(x_name(i, j)) for j in slots)
-        if abs(total - 1) > tol:
+    for name in model.generals:
+        if not _in_domain(value[name], model.upper):
             raise ConstraintViolationError(
-                "vertex-assignment",
-                f"node {i} is assigned to {total} slots, expected exactly 1",
+                "integer-domain",
+                f"{name} = {value[name]} is not an integer in "
+                f"0..{model.upper}",
             )
-    for j in slots:
-        booked = sum(val(x_name(i, j)) for i in slots)
-        if abs(val(c_name(j)) - booked) > tol:
+    for row in model.rows:
+        lhs = sum(coefficient * value[name] for coefficient, name in row.terms)
+        gap = lhs - row.rhs
+        too_high = gap > TOLERANCE and row.sense != ">="
+        too_low = gap < -TOLERANCE and row.sense != "<="
+        if too_high or too_low:
             raise ConstraintViolationError(
-                "component-size",
-                f"{c_name(j)} = {val(c_name(j))} but slot {j} holds {booked}",
+                row.family,
+                f"{row.label}: left-hand side is {lhs}, "
+                f"needs {row.sense} {row.rhs}",
             )
-    removed_total = sum(val(y_name(i)) for i in slots)
-    if removed_total > k + tol:
-        raise ConstraintViolationError(
-            "budget", f"{removed_total} nodes removed, budget is {k}"
-        )
-    for j in slots:
-        chosen = sum(val(m_name(j, t)) for t in range(n + 1))
-        if abs(chosen - 1) > tol:
-            raise ConstraintViolationError(
-                "size-indicator",
-                f"slot {j} selects {chosen} sizes, expected exactly 1",
-            )
-    for j in slots:
-        linked = sum(t * val(m_name(j, t)) for t in range(1, n + 1))
-        if abs(val(c_name(j)) - linked) > tol:
-            raise ConstraintViolationError(
-                "size-link",
-                f"{c_name(j)} = {val(c_name(j))} but size indicators give "
-                f"{linked}",
-            )
-    for t in range(n + 1):
-        counted = sum(val(m_name(j, t)) for j in slots)
-        if abs(val(s_name(t)) - counted) > tol:
-            raise ConstraintViolationError(
-                "size-count",
-                f"{s_name(t)} = {val(s_name(t))} but {counted} slots have "
-                f"size {t}",
-            )
-
-    objective = sum(
-        t * val(s_name(t)) * w.value(t) for t in range(1, n + 1)
-    ) - removed_total * w.value(1)
-
-    if compare_enumeration:
-        from .dismantle import DismantleQuery, best_removal
-
-        optimum = best_removal(
-            DismantleQuery(graph=g, k=k, objective="proposed", weights=w)
-        ).residual_value
-        if not math.isclose(objective, optimum, rel_tol=1e-9, abs_tol=1e-9):
-            logger.warning(
-                "model objective %s differs from exhaustive-search optimum %s",
-                objective, optimum,
-            )
-    return objective
+    return sum(coefficient * value[name]
+               for coefficient, name in model.objective)

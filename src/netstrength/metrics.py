@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .datasets import parse_cell, read_rows
 from .graph import EmptyGraphError, Graph, components
 
 EXTENSION_ERROR = "error"
@@ -179,23 +180,14 @@ def load_weights(
     extension_policy: str = EXTENSION_ERROR,
 ) -> WeightVector:
     """Read a ``size,weight`` CSV produced by :func:`save_weights`."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["size", "weight"]:
-            raise ValueError(f"{path}: expected header 'size,weight'")
-        values: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{row_no}: expected 'size,weight' row")
-            size = int(row[0])
-            if size != len(values) + 1:
-                raise ValueError(
-                    f"{path}:{row_no}: sizes must be contiguous from 1, got {size}"
-                )
-            values.append(float(row[1]))
+    values: list[float] = []
+    for line_no, row in read_rows(path, ("size", "weight")):
+        size = parse_cell(path, line_no, row, "size", int)
+        if size != len(values) + 1:
+            raise ValueError(
+                f"{path}:{line_no}: sizes must be contiguous from 1, got {size}"
+            )
+        values.append(parse_cell(path, line_no, row, "weight"))
     if not values:
         raise ValueError(f"{path}: no weight rows")
     return WeightVector.from_values(values, extension_policy)

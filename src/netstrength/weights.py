@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import load_edge_list, read_rows
+from .datasets import load_edge_list, parse_cell, read_rows
 from .graph import Graph, ccsd
 from .metrics import WeightVector
 
@@ -149,7 +149,9 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
     for line_no, row in read_rows(path, SURVEY_HEADER):
         if not row["graph_id"]:
             raise ValueError(f"{path}:{line_no}: empty graph_id")
-        by_graph.setdefault(row["graph_id"], []).append(float(row["estimate"]))
+        by_graph.setdefault(row["graph_id"], []).append(
+            parse_cell(path, line_no, row, "estimate")
+        )
     if not by_graph:
         raise ValueError(f"{path}: survey file contains no records")
     records = []

@@ -113,6 +113,19 @@ class TestStrength:
         assert "duplicate" in err
         assert parse_csv(out)[0]["metric"] == "cole2"
 
+    @pytest.mark.parametrize("rows", ["x,0.5", "1,nan", "1,heavy"])
+    def test_bad_weight_cell_names_line(self, capsys, tmp_path, rows):
+        target = tmp_path / "g.edges"
+        save_edge_list(path_graph(3), target)
+        weights = tmp_path / "w.csv"
+        weights.write_text(f"size,weight\n{rows}\n")
+        code, out, err = run_cli(
+            capsys, "strength", str(target), "--weights", str(weights)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {weights}:2: ")
+        assert "Traceback" not in err
+
     def test_unknown_metric_rejected_by_parser(self, capsys, tmp_path):
         target = tmp_path / "g.edges"
         save_edge_list(path_graph(3), target)
@@ -195,6 +208,18 @@ class TestFitWeights:
         )
         assert code == 1
         assert "no records" in err
+
+
+    def test_non_numeric_estimate_names_line(self, capsys, tmp_path):
+        survey, graph_dir, _ = self.write_suite(tmp_path)
+        survey.write_text(survey.read_text() + "p2,p2,high\n")
+        code, out, err = run_cli(
+            capsys, "fit-weights", "--survey", str(survey),
+            "--graphs", str(graph_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {survey}:10: estimate must be")
+        assert "Traceback" not in err
 
 
 class TestDismantle:
@@ -302,6 +327,20 @@ class TestEval:
     def test_match_mode_short_row(self, capsys, tmp_path):
         gt = tmp_path / "gt.csv"
         gt.write_text("graph_id,rank,members\ng1,1\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("graph_id,members\ng1,1\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "match",
+            "--pred", str(pred), "--gt", str(gt),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {gt}:2: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row", ["g1,first,1,0.5", "g1,1,1,nan"])
+    def test_match_mode_bad_number_names_line(self, capsys, tmp_path, row):
+        gt = tmp_path / "gt.csv"
+        gt.write_text(f"graph_id,rank,members,vote_share\n{row}\n")
         pred = tmp_path / "pred.csv"
         pred.write_text("graph_id,members\ng1,1\n")
         code, out, err = run_cli(

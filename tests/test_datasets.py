@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -155,6 +156,21 @@ class TestRoundTrip:
         assert again.n == g.n
         assert set(again.node_labels()) == set(g.node_labels())
         assert labeled_edges(again) == labeled_edges(g)
+
+    @pytest.mark.parametrize("labels", [
+        ("#a", "b", "c"),  # read back as a comment
+        ("x", "x", "y"),  # merged into one node
+        ("a b", "c", "d"),
+        ("", "c", "d"),
+    ])
+    def test_labels_that_would_not_read_back_are_rejected(
+        self, tmp_path, labels
+    ):
+        g = Graph.build(3, [(0, 1), (1, 2)], labels=labels)
+        path = tmp_path / "g.edges"
+        with pytest.raises(ValueError, match=re.escape(repr(labels[0]))):
+            save_edge_list(g, path)
+        assert not path.exists()
 
     def test_edgeless_graph_round_trips(self, tmp_path):
         g = Graph.build(4, [])
