@@ -78,10 +78,7 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
     if args.out_weights:
         metrics.save_weights(result.weights, args.out_weights)
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["size", "weight"])
-        for size, value in enumerate(result.weights.weights, start=1):
-            writer.writerow([size, repr(value)])
+        metrics.write_weights(result.weights, sys.stdout)
     report_line = json.dumps({
         "residual_norm": result.residual_norm,
         "rank": result.rank,
@@ -153,7 +150,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for graph_id in sorted(preds):
         if graph_id not in gt:
             raise ValueError(f"prediction for unknown graph id {graph_id!r}")
-        graph = datasets.load_edge_list(Path(args.graphs) / f"{graph_id}.edges")
+        graph = datasets.load_graph_by_id(args.graphs, graph_id)
         pred_values.append(preds[graph_id])
         gt_values.append(gt[graph_id] / graph.n)
     value = evaluation.rmse(pred_values, gt_values)
@@ -165,10 +162,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     gt = evaluation.load_strength_gt_csv(args.gt)
     graphs = []
     for graph_id in sorted(gt):
-        path = Path(args.graphs) / f"{graph_id}.edges"
-        if not path.exists():
-            raise ValueError(f"no edge list for graph id {graph_id!r}: {path}")
-        graphs.append((graph_id, datasets.load_edge_list(path)))
+        graphs.append((graph_id, datasets.load_graph_by_id(args.graphs, graph_id)))
     weight_vector = None
     if "proposed" in args.metrics:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)

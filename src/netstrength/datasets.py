@@ -221,6 +221,14 @@ def load_edge_list(path: str | Path) -> Graph:
     return parsed.to_graph()
 
 
+def load_graph_by_id(graph_dir: str | Path, graph_id: str) -> Graph:
+    """Read ``<graph_dir>/<graph_id>.edges``, naming the id if it is missing."""
+    path = Path(graph_dir) / f"{graph_id}.edges"
+    if not path.exists():
+        raise FileNotFoundError(f"no edge list for graph id {graph_id!r}: {path}")
+    return load_edge_list(path)
+
+
 def save_edge_list(g: Graph, path: str | Path) -> None:
     """Write a graph as an edge list, preserving labels and isolated nodes.
 

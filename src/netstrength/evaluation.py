@@ -20,6 +20,7 @@ from .graph import Graph
 from .metrics import METRIC_IDS, WeightVector, compute_metric
 
 MEMBER_SEPARATOR = ";"
+_STATISTICS = ("exact_match", "rank_match", "percentage_match")
 
 
 def rmse(pred: Sequence[float], gt: Sequence[float]) -> float:
@@ -106,15 +107,9 @@ class MatchReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["statistic", "value"])
-        writer.writerow(["exact_match", repr(self.exact_match)])
-        writer.writerow([
-            "rank_match",
-            "-" if self.rank_match is None else repr(self.rank_match),
-        ])
-        writer.writerow([
-            "percentage_match",
-            "-" if self.percentage_match is None else repr(self.percentage_match),
-        ])
+        for name in _STATISTICS:
+            value = getattr(self, name)
+            writer.writerow([name, "-" if value is None else repr(value)])
         return out.getvalue()
 
     def format_table(self) -> str:
@@ -132,15 +127,10 @@ class MatchReport:
             for row in rows
         ]
         lines.append("")
-        lines.append(f"exact match      {self.exact_match}")
-        lines.append(
-            f"rank match       "
-            f"{'-' if self.rank_match is None else self.rank_match}"
-        )
-        lines.append(
-            f"percentage match "
-            f"{'-' if self.percentage_match is None else self.percentage_match}"
-        )
+        for name in _STATISTICS:
+            value = getattr(self, name)
+            label = name.replace("_", " ")
+            lines.append(f"{label:<17}{'-' if value is None else value}")
         return "\n".join(lines)
 
 
@@ -230,11 +220,6 @@ def compare_suite(
     ``gt_strengths`` holds raw mean estimates in [1, n]; everything is
     normalized by the graph's node count before comparison.
     """
-    for metric in metrics:
-        if metric not in METRIC_IDS:
-            raise ValueError(f"unknown metric id {metric!r}")
-    if "proposed" in metrics and weights is None:
-        raise ValueError("the proposed metric requires a weight vector")
     rows = []
     normalized_by_metric: dict[str, list[float]] = {m: [] for m in metrics}
     gt_normalized: list[float] = []

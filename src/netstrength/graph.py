@@ -33,13 +33,12 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"node count must be >= 0, got {self.n}")
-        for edge in self.edges:
-            u, v = edge
+        for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop {edge} not allowed")
+                raise ValueError(f"self-loop ({u}, {v}) not allowed")
             if not (0 <= u < v < self.n):
                 raise ValueError(
-                    f"edge {edge} is not canonical for a {self.n}-node graph"
+                    f"edge ({u}, {v}) is not a pair u < v in 0..{self.n - 1}"
                 )
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError(
@@ -58,15 +57,7 @@ class Graph:
         ``{u, v}`` and ``{v, u}`` are the same edge; repeated pairs collapse
         to one. Self-loops and out-of-range endpoints raise ``ValueError``.
         """
-        canonical = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(
-                    f"edge ({u}, {v}) references a node outside 0..{n - 1}"
-                )
-            canonical.add((u, v) if u < v else (v, u))
+        canonical = {(u, v) if u < v else (v, u) for u, v in edges}
         label_tuple = None if labels is None else tuple(labels)
         return cls(n=n, edges=frozenset(canonical), labels=label_tuple)
 
@@ -96,9 +87,10 @@ class Graph:
 class ComponentDecomposition:
     """Partition of the nodes into connected components.
 
-    ``assignment[u]`` is the component index of node ``u``; indices are
-    ordered by the smallest node id contained in each component, so the
-    decomposition is a pure function of the graph.
+    ``assignment[u]`` is the component index of node ``u``, or ``-1`` for
+    a node left out by :func:`components`; indices are ordered by the
+    smallest node id contained in each component, so the decomposition is a
+    pure function of the graph and the removed nodes.
     """
 
     assignment: tuple[int, ...]
@@ -139,17 +131,24 @@ class CCSD:
         )
 
 
-def components(g: Graph) -> ComponentDecomposition:
-    """Decompose ``g`` into connected components via BFS.
+def components(g: Graph, removed: Iterable[int] = ()) -> ComponentDecomposition:
+    """Decompose ``g`` without the nodes in ``removed`` via BFS.
 
     Components are discovered in ascending order of their smallest node id,
     making the index assignment deterministic regardless of edge order.
+    Removed nodes get ``-1`` in ``assignment``; the sizes equal those of
+    ``components(remove_nodes(g, removed))``, in order, with no residual
+    graph built. An id outside ``0..n-1`` raises ``ValueError``.
     """
-    assignment = [-1] * g.n
+    # None marks an unvisited node; pre-marking the removed nodes keeps the
+    # BFS out of them without a membership test per neighbor.
+    assignment: list[int | None] = [None] * g.n
+    for node in _check_node_ids(g, removed):
+        assignment[node] = -1
     sizes: list[int] = []
     adjacency = g.adjacency
     for start in range(g.n):
-        if assignment[start] != -1:
+        if assignment[start] is not None:
             continue
         index = len(sizes)
         assignment[start] = index
@@ -159,7 +158,7 @@ def components(g: Graph) -> ComponentDecomposition:
             node = queue.popleft()
             size += 1
             for neighbor in adjacency[node]:
-                if assignment[neighbor] == -1:
+                if assignment[neighbor] is None:
                     assignment[neighbor] = index
                     queue.append(neighbor)
         sizes.append(size)
@@ -185,10 +184,7 @@ def remove_nodes(g: Graph, removed: Iterable[int]) -> Graph:
     Surviving nodes are renumbered contiguously in ascending original id;
     labels follow the surviving nodes so external naming is preserved.
     """
-    removed_set = set(removed)
-    for node in removed_set:
-        if not (0 <= node < g.n):
-            raise ValueError(f"unknown node id {node}")
+    removed_set = set(_check_node_ids(g, removed))
     keep = [u for u in range(g.n) if u not in removed_set]
     new_id = {old: new for new, old in enumerate(keep)}
     edges = [
@@ -200,3 +196,12 @@ def remove_nodes(g: Graph, removed: Iterable[int]) -> Graph:
     if g.labels is not None:
         labels = tuple(g.labels[u] for u in keep)
     return Graph.build(len(keep), edges, labels)
+
+
+def _check_node_ids(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
+    """``nodes`` as a tuple; an id outside ``0..n-1`` raises ``ValueError``."""
+    nodes = tuple(nodes)
+    for node in nodes:
+        if not (0 <= node < g.n):
+            raise ValueError(f"unknown node id {node}")
+    return nodes

@@ -31,6 +31,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping, NamedTuple
 
 from .graph import Graph
@@ -218,6 +219,8 @@ def emit_ilp(g: Graph, k: int, w: WeightVector) -> str:
 
 
 def _in_domain(value: float, upper: int) -> bool:
+    if not math.isfinite(value):
+        return False
     nearest = round(value)
     return abs(value - nearest) <= TOLERANCE and 0 <= nearest <= upper
 

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .datasets import parse_cell, read_rows
 from .graph import EmptyGraphError, Graph, components
@@ -162,17 +162,22 @@ def gfp_score(g: Graph) -> StrengthValue:
     return compute_metric(g, "gfp")
 
 
-def save_weights(w: WeightVector, path: str | Path) -> None:
-    """Write a ``size,weight`` CSV, one row per size 1..N.
+def write_weights(w: WeightVector, handle: TextIO) -> None:
+    """Write a ``size,weight`` CSV to ``handle``, one row per size 1..N.
 
     Weights are written with shortest round-trip decimal formatting, so
     save -> load -> save is byte-stable and no precision is ever lost.
     """
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["size", "weight"])
+    for size, weight in enumerate(w.weights, start=1):
+        writer.writerow([size, repr(weight)])
+
+
+def save_weights(w: WeightVector, path: str | Path) -> None:
+    """Write the :func:`write_weights` CSV to ``path``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["size", "weight"])
-        for size, weight in enumerate(w.weights, start=1):
-            writer.writerow([size, repr(weight)])
+        write_weights(w, handle)
 
 
 def load_weights(

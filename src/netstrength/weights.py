@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import load_edge_list, parse_cell, read_rows
+from .datasets import load_graph_by_id, parse_cell, read_rows
 from .graph import Graph, ccsd
 from .metrics import WeightVector
 
@@ -144,28 +144,32 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
 
     Each referenced graph is loaded from ``<graph_dir>/<graph_id>.edges``.
     Records are ordered by graph id so the fitted system is reproducible.
+    An estimate outside ``[1, n]`` for its graph raises ``ValueError``
+    naming ``file:line``.
     """
-    by_graph: dict[str, list[float]] = {}
+    by_graph: dict[str, list[tuple[int, float]]] = {}
     for line_no, row in read_rows(path, SURVEY_HEADER):
         if not row["graph_id"]:
             raise ValueError(f"{path}:{line_no}: empty graph_id")
         by_graph.setdefault(row["graph_id"], []).append(
-            parse_cell(path, line_no, row, "estimate")
+            (line_no, parse_cell(path, line_no, row, "estimate"))
         )
     if not by_graph:
         raise ValueError(f"{path}: survey file contains no records")
     records = []
     for graph_id in sorted(by_graph):
-        graph_path = Path(graph_dir) / f"{graph_id}.edges"
-        if not graph_path.exists():
-            raise FileNotFoundError(
-                f"no edge list for surveyed graph {graph_id!r}: {graph_path}"
-            )
+        graph = load_graph_by_id(graph_dir, graph_id)
+        for line_no, value in by_graph[graph_id]:
+            if not (1.0 <= value <= graph.n):
+                raise ValueError(
+                    f"{path}:{line_no}: estimate {value} for graph "
+                    f"{graph_id!r} is outside [1, {graph.n}]"
+                )
         records.append(
             SurveyRecord(
                 graph_id=graph_id,
-                graph=load_edge_list(graph_path),
-                estimates=tuple(by_graph[graph_id]),
+                graph=graph,
+                estimates=tuple(value for _, value in by_graph[graph_id]),
             )
         )
     return SurveyDataset(records=tuple(records))

@@ -222,6 +222,35 @@ class TestFitWeights:
         assert "Traceback" not in err
 
 
+    def test_out_of_range_estimate_names_line(self, capsys, tmp_path):
+        survey, graph_dir, _ = self.write_suite(tmp_path)
+        survey.write_text(survey.read_text() + "p3,p2,9\n")
+        code, out, err = run_cli(
+            capsys, "fit-weights", "--survey", str(survey),
+            "--graphs", str(graph_dir),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {survey}:10: estimate 9.0 for graph")
+        assert "outside [1, 3]" in err
+        assert "Traceback" not in err
+
+    def test_stdout_weights_match_saved_file(self, capsys, tmp_path):
+        survey, graph_dir, _ = self.write_suite(tmp_path)
+        saved = tmp_path / "fit.csv"
+        code, stdout_weights, _ = run_cli(
+            capsys, "fit-weights", "--survey", str(survey),
+            "--graphs", str(graph_dir), "--lambda", "0.1",
+        )
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "fit-weights", "--survey", str(survey),
+            "--graphs", str(graph_dir), "--lambda", "0.1",
+            "--out-weights", str(saved),
+        )
+        assert code == 0
+        assert stdout_weights.encode("utf-8") == saved.read_bytes()
+
+
 class TestDismantle:
     def test_result_json_uses_labels(self, capsys, tmp_path):
         target = tmp_path / "g.edges"
@@ -407,6 +436,34 @@ class TestCompare:
         )
         assert code == 1
         assert "missing" in err
+
+
+class TestGraphDirectory:
+    """Every subcommand that reads ``<dir>/<graph_id>.edges`` reports a
+    missing file the same way."""
+
+    @pytest.mark.parametrize("command", ["fit-weights", "compare", "eval"])
+    def test_missing_edge_list(self, capsys, tmp_path, command):
+        graph_dir = tmp_path / "graphs"
+        graph_dir.mkdir()
+        survey = tmp_path / "survey.csv"
+        survey.write_text("graph_id,participant_id,estimate\nghost,p1,1\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("graph_id,mean_estimate\nghost,1.0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("graph_id,value\nghost,0.5\n")
+        argv = {
+            "fit-weights": ["--survey", str(survey)],
+            "compare": ["--gt", str(gt)],
+            "eval": ["--mode", "strength", "--pred", str(pred),
+                     "--gt", str(gt)],
+        }[command]
+        code, out, err = run_cli(
+            capsys, command, *argv, "--graphs", str(graph_dir)
+        )
+        assert (code, out) == (1, "")
+        missing = graph_dir / "ghost.edges"
+        assert err == f"error: no edge list for graph id 'ghost': {missing}\n"
 
 
 class TestEntryPoint:

@@ -121,6 +121,18 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="weight vector"):
             evaluate_removal(path_graph(4), (0,), "proposed")
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_evaluate_removal_unknown_node(self, objective):
+        with pytest.raises(ValueError, match="unknown node id 4"):
+            evaluate_removal(path_graph(4), (1, 4), objective, ALL_ONES)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_evaluate_removal_repeated_node_counts_once(self, objective):
+        g = path_graph(5)
+        assert evaluate_removal(g, (2, 2), objective, ALL_ONES) == (
+            evaluate_removal(g, (2,), objective, ALL_ONES)
+        )
+
 
 class TestExamples:
     def test_star_center_is_optimal(self):

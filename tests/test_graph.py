@@ -52,6 +52,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.build(3, [(0, 3)])
 
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            Graph.build(3, [(-1, 2)])
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 2), (2, 1)])
+    def test_constructor_names_the_node_range(self, edge):
+        with pytest.raises(ValueError, match=r"0\.\.2"):
+            Graph(n=3, edges=frozenset({edge}))
+
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
             Graph.build(2, [], labels=["a"])
@@ -101,6 +110,27 @@ class TestComponents:
         decomposition = components(g)
         assert sum(decomposition.sizes) == g.n
         assert len(decomposition.assignment) == g.n
+
+    def test_removed_nodes_match_the_residual_graph(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 25), rng.uniform(0.02, 0.4))
+            removed = [rng.randrange(g.n) for _ in range(rng.randint(0, 4))]
+            if removed:
+                removed.append(removed[0])  # a repeated id counts once
+            decomposition = components(g, removed)
+            residual = components(remove_nodes(g, removed))
+            assert decomposition.sizes == residual.sizes
+            survivors = [u for u in range(g.n) if u not in removed]
+            assert [decomposition.assignment[u] for u in survivors] == list(
+                residual.assignment
+            )
+            assert all(decomposition.assignment[u] == -1 for u in removed)
+
+    @pytest.mark.parametrize("node", [3, -1])
+    def test_unknown_removed_node_rejected(self, node):
+        with pytest.raises(ValueError, match="unknown node id"):
+            components(path_graph(3), [0, node])
 
 
 class TestCcsd:

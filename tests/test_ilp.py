@@ -309,6 +309,18 @@ class TestVerification:
         with pytest.raises(ConstraintViolationError, match="binary-domain"):
             verify_ilp_solution(g, 1, default_weights(), assignment)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("name, family", [
+        (x_name(1, 1), "binary-domain"),
+        (c_name(1), "integer-domain"),
+    ])
+    def test_non_finite_value_violates_its_domain(self, value, name, family):
+        g = path_graph(3)
+        assignment = honest_assignment(g, {1})
+        assignment[name] = value
+        with pytest.raises(ConstraintViolationError, match=family):
+            verify_ilp_solution(g, 1, default_weights(), assignment)
+
     def test_every_row_family_is_declared(self):
         g = generate(GeneratorSpec(model="gnm", n=6, m=7, seed=1))[0]
         model = build_model(g, 2, LINEAR_WEIGHTS)
