@@ -32,7 +32,6 @@ from .evaluation import (
 )
 from .graph import (
     CCSD,
-    ComponentDecomposition,
     EmptyGraphError,
     Graph,
     ccsd,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CCSD",
-    "ComponentDecomposition",
     "ConstraintViolationError",
     "DesignMatrix",
     "DismantleQuery",

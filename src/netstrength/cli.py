@@ -63,11 +63,13 @@ def cmd_strength(args: argparse.Namespace) -> int:
     weight_vector = None
     if "proposed" in selected:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)
+    # every row is computed before any is written: a failure leaves no output
+    values = [metrics.compute_metric(graph, m, weight_vector) for m in selected]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["metric", "raw", "normalized"])
-    for metric in selected:
-        value = metrics.compute_metric(graph, metric, weight_vector)
-        writer.writerow([metric, repr(value.raw), repr(value.normalized)])
+    writer.writerows(
+        [v.metric_id, repr(v.raw), repr(v.normalized)] for v in values
+    )
     return 0
 
 

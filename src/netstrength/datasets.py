@@ -222,11 +222,15 @@ def load_edge_list(path: str | Path) -> Graph:
 
 
 def load_graph_by_id(graph_dir: str | Path, graph_id: str) -> Graph:
-    """Read ``<graph_dir>/<graph_id>.edges``, naming the id if it is missing."""
+    """Read ``<graph_dir>/<graph_id>.edges``, naming the id if it is missing;
+    a graph with no nodes raises ``ValueError`` (callers divide by ``n``)."""
     path = Path(graph_dir) / f"{graph_id}.edges"
     if not path.exists():
         raise FileNotFoundError(f"no edge list for graph id {graph_id!r}: {path}")
-    return load_edge_list(path)
+    graph = load_edge_list(path)
+    if graph.n == 0:
+        raise ValueError(f"{path}: edge list has no nodes")
+    return graph
 
 
 def save_edge_list(g: Graph, path: str | Path) -> None:

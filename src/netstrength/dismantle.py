@@ -90,11 +90,11 @@ def evaluate_removal(
     weights: WeightVector | None = None,
 ) -> float:
     """Objective value of the residual graph after deleting ``removed``."""
-    sizes = components(g, removed).sizes
+    sizes = components(g, removed)
     # cole1 maximizes c itself: n / c would also vary with the residual's size
     if objective == "cole1":
         return float(len(sizes))
-    return score(sizes, sum(sizes), objective, weights)
+    return score(sizes, objective, weights)
 
 
 def _candidate_sizes(k: int, allow_fewer: bool) -> range:
@@ -127,22 +127,19 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
     """Exhaustively find the optimal removal set for any objective."""
     _check_budget(q)
     sign = -1.0 if q.objective in _MAXIMIZED else 1.0
-    best_key: tuple | None = None
     best_set: tuple[int, ...] = ()
     best_value = 0.0
     ties = 0
     nodes = range(q.graph.n)
+    # sizes ascend and combinations() yields each size in lexicographic
+    # order, so the first set to reach the optimum is the tie-break winner
     for size in _candidate_sizes(q.k, q.allow_fewer):
         for subset in combinations(nodes, size):
             value = evaluate_removal(q.graph, subset, q.objective, q.weights)
-            key = (sign * value, size, subset)
-            if best_key is None or key[0] < best_key[0]:
-                best_key, best_set, best_value, ties = key, subset, value, 1
-            elif key[0] == best_key[0]:
+            if ties == 0 or sign * value < sign * best_value:
+                best_set, best_value, ties = subset, value, 1
+            elif value == best_value:
                 ties += 1
-                if key < best_key:
-                    best_key, best_set, best_value = key, subset, value
-    assert best_key is not None
     return DismantleResult(
         removed=best_set,
         labels=tuple(q.graph.label(u) for u in best_set),

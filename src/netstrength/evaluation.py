@@ -226,13 +226,13 @@ def compare_suite(
     for graph_id, graph in graphs:
         if graph_id not in gt_strengths:
             raise ValueError(f"no ground-truth strength for graph {graph_id!r}")
-        gt_norm = gt_strengths[graph_id] / graph.n
-        gt_normalized.append(gt_norm)
         values = []
         for metric in metrics:
             normalized = compute_metric(graph, metric, weights).normalized
             normalized_by_metric[metric].append(normalized)
             values.append(normalized)
+        gt_norm = gt_strengths[graph_id] / graph.n
+        gt_normalized.append(gt_norm)
         rows.append((graph_id, graph.n, gt_norm, *values))
     rmse_by_metric = {
         metric: rmse(normalized_by_metric[metric], gt_normalized)

@@ -1,4 +1,4 @@
-"""Immutable undirected graphs, component decomposition, and size counts.
+"""Immutable undirected graphs, their component sizes, and size counts.
 
 Nodes are contiguous 0-based integer ids. Dataset-native node names are kept
 in an optional label tuple so reported answers can use the original naming.
@@ -84,24 +84,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class ComponentDecomposition:
-    """Partition of the nodes into connected components.
-
-    ``assignment[u]`` is the component index of node ``u``, or ``-1`` for
-    a node left out by :func:`components`; indices are ordered by the
-    smallest node id contained in each component, so the decomposition is a
-    pure function of the graph and the removed nodes.
-    """
-
-    assignment: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-
-@dataclass(frozen=True)
 class CCSD:
     """Connected-component size counts.
 
@@ -131,38 +113,36 @@ class CCSD:
         )
 
 
-def components(g: Graph, removed: Iterable[int] = ()) -> ComponentDecomposition:
-    """Decompose ``g`` without the nodes in ``removed`` via BFS.
+def components(g: Graph, removed: Iterable[int] = ()) -> tuple[int, ...]:
+    """Component sizes of ``g`` without the nodes in ``removed``, via BFS.
 
-    Components are discovered in ascending order of their smallest node id,
-    making the index assignment deterministic regardless of edge order.
-    Removed nodes get ``-1`` in ``assignment``; the sizes equal those of
-    ``components(remove_nodes(g, removed))``, in order, with no residual
-    graph built. An id outside ``0..n-1`` raises ``ValueError``.
+    Sizes come in discovery order, that is, ascending smallest node id, so
+    they are a pure function of the graph and the removed nodes. They equal
+    ``components(remove_nodes(g, removed))`` with no residual graph built.
+    An id outside ``0..n-1`` raises ``ValueError``.
     """
-    # None marks an unvisited node; pre-marking the removed nodes keeps the
-    # BFS out of them without a membership test per neighbor.
-    assignment: list[int | None] = [None] * g.n
+    # pre-marking the removed nodes as seen keeps the BFS out of them
+    # without a membership test per neighbor
+    seen = [False] * g.n
     for node in _check_node_ids(g, removed):
-        assignment[node] = -1
+        seen[node] = True
     sizes: list[int] = []
     adjacency = g.adjacency
     for start in range(g.n):
-        if assignment[start] is not None:
+        if seen[start]:
             continue
-        index = len(sizes)
-        assignment[start] = index
+        seen[start] = True
         queue = deque([start])
         size = 0
         while queue:
             node = queue.popleft()
             size += 1
             for neighbor in adjacency[node]:
-                if assignment[neighbor] is None:
-                    assignment[neighbor] = index
+                if not seen[neighbor]:
+                    seen[neighbor] = True
                     queue.append(neighbor)
         sizes.append(size)
-    return ComponentDecomposition(assignment=tuple(assignment), sizes=tuple(sizes))
+    return tuple(sizes)
 
 
 def ccsd(g: Graph) -> CCSD:
@@ -173,7 +153,7 @@ def ccsd(g: Graph) -> CCSD:
     if g.n == 0:
         raise EmptyGraphError("size counts are undefined for an empty graph")
     counts = [0] * g.n
-    for size in components(g).sizes:
+    for size in components(g):
         counts[size - 1] += 1
     return CCSD(counts=tuple(counts))
 

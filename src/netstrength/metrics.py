@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -91,13 +90,15 @@ class StrengthValue:
 
 
 def score(
-    sizes: Sequence[int], n: int, metric_id: str, w: WeightVector | None = None
+    sizes: Sequence[int], metric_id: str, w: WeightVector | None = None
 ) -> float:
-    """Raw value of a metric for ``n`` nodes split into components ``sizes``.
+    """Raw value of a metric for a graph split into components ``sizes``.
+
+    With ``n = sum(sizes)`` nodes and ``c = len(sizes)`` components:
 
     * ``proposed``  ``sum(i * w_i * count_i)``, summed per size class in
       ascending size order; ``w`` is required
-    * ``cole1``     ``n / c`` for ``c`` components
+    * ``cole1``     ``n / c``
     * ``cole2``     the largest component size
     * ``gfp``       ``sum(n_i^2) / n``
 
@@ -109,23 +110,23 @@ def score(
         raise ValueError(f"unknown metric id {metric_id!r}")
     if metric_id == "proposed" and w is None:
         raise ValueError("the proposed metric requires a weight vector")
-    if n < 1:
+    if not sizes:
         raise EmptyGraphError("strength is undefined for an empty graph")
     if metric_id == "proposed":
         raw = 0.0
-        for size, count in sorted(Counter(sizes).items()):
-            raw += size * w.value(size) * count
+        for size in sorted(set(sizes)):
+            raw += size * w.value(size) * sizes.count(size)
         return raw
     if metric_id == "cole1":
-        return n / len(sizes)
+        return sum(sizes) / len(sizes)
     if metric_id == "cole2":
         return float(max(sizes))
-    return sum(s * s for s in sizes) / n
+    return sum(s * s for s in sizes) / sum(sizes)
 
 
 def compute_metric(g: Graph, metric_id: str, w: WeightVector | None = None) -> StrengthValue:
     """Evaluate one metric by id; ``w`` is required for ``proposed``."""
-    raw = score(components(g).sizes, g.n, metric_id, w)
+    raw = score(components(g), metric_id, w)
     return StrengthValue(raw=raw, normalized=raw / g.n, metric_id=metric_id)
 
 

@@ -120,8 +120,10 @@ def fit_weights(dm: DesignMatrix, ridge: float = 0.0) -> FitResult:
     matrix, target = dm.matrix, dm.target
     if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
         raise ValueError("design matrix and target must be finite")
-    if ridge < 0:
-        raise ValueError(f"ridge parameter must be >= 0, got {ridge}")
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValueError(
+            f"ridge parameter must be a finite number >= 0, got {ridge}"
+        )
     if ridge == 0:
         solution, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
     else:
@@ -144,13 +146,22 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
 
     Each referenced graph is loaded from ``<graph_dir>/<graph_id>.edges``.
     Records are ordered by graph id so the fitted system is reproducible.
-    An estimate outside ``[1, n]`` for its graph raises ``ValueError``
-    naming ``file:line``.
+    An estimate outside ``[1, n]`` for its graph, or a second estimate from
+    one participant for one graph, raises ``ValueError`` naming
+    ``file:line``.
     """
     by_graph: dict[str, list[tuple[int, float]]] = {}
+    answered: set[tuple[str, str]] = set()
     for line_no, row in read_rows(path, SURVEY_HEADER):
         if not row["graph_id"]:
             raise ValueError(f"{path}:{line_no}: empty graph_id")
+        key = (row["graph_id"], row["participant_id"])
+        if key in answered:
+            raise ValueError(
+                f"{path}:{line_no}: duplicate estimate from participant "
+                f"{key[1]!r} for graph {key[0]!r}"
+            )
+        answered.add(key)
         by_graph.setdefault(row["graph_id"], []).append(
             (line_no, parse_cell(path, line_no, row, "estimate"))
         )

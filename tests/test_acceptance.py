@@ -93,7 +93,7 @@ def test_connected_graph_identity():
     for _ in range(50):
         n = rng.randint(2, 30)
         g = random_connected_graph(rng, n, extra_p=rng.uniform(0.0, 0.3))
-        assert components(g).count == 1
+        assert len(components(g)) == 1
         assert math.isclose(
             sigma(g, w).raw, n * w.value(n), rel_tol=1e-12, abs_tol=0.0
         )
@@ -110,7 +110,7 @@ def test_baseline_bounds_on_500_graphs():
     """1 <= cole1, cole2, gfp <= n with equality characterizations, on the
     same 500-graph suite."""
     for g in mixed_random_suite(500, 50, CRITERION_SEED + 1):
-        connected = components(g).count == 1
+        connected = len(components(g)) == 1
         edgeless = g.edge_count == 0
         for value in (cole1(g).raw, cole2(g).raw, gfp_score(g).raw):
             assert 1.0 <= value <= g.n

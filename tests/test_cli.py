@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netstrength
 from conftest import disjoint_paths, path_graph
@@ -126,6 +131,15 @@ class TestStrength:
         assert err.startswith(f"error: {weights}:2: ")
         assert "Traceback" not in err
 
+    def test_failure_writes_no_rows(self, capsys, tmp_path):
+        target = tmp_path / "p31.edges"
+        save_edge_list(path_graph(31), target)
+        code, out, err = run_cli(
+            capsys, "strength", str(target), "--metrics", "cole1,proposed"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: component size 31 exceeds")
+
     def test_unknown_metric_rejected_by_parser(self, capsys, tmp_path):
         target = tmp_path / "g.edges"
         save_edge_list(path_graph(3), target)
@@ -233,6 +247,18 @@ class TestFitWeights:
         assert err.startswith(f"error: {survey}:10: estimate 9.0 for graph")
         assert "outside [1, 3]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_non_finite_lambda_rejected(self, capfd, tmp_path, ridge):
+        survey, graph_dir, _ = self.write_suite(tmp_path)
+        code, out, err = run_cli(
+            capfd, "fit-weights", "--survey", str(survey),
+            "--graphs", str(graph_dir), "--lambda", ridge,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: ridge parameter must be a finite number >= 0, got {ridge}\n"
+        )
 
     def test_stdout_weights_match_saved_file(self, capsys, tmp_path):
         survey, graph_dir, _ = self.write_suite(tmp_path)
@@ -464,6 +490,158 @@ class TestGraphDirectory:
         assert (code, out) == (1, "")
         missing = graph_dir / "ghost.edges"
         assert err == f"error: no edge list for graph id 'ghost': {missing}\n"
+
+    @pytest.mark.parametrize("command", ["fit-weights", "compare", "eval"])
+    def test_empty_edge_list(self, capsys, tmp_path, command):
+        graph_dir = tmp_path / "graphs"
+        graph_dir.mkdir()
+        empty = graph_dir / "g0.edges"
+        empty.write_text("")
+        survey = tmp_path / "survey.csv"
+        survey.write_text("graph_id,participant_id,estimate\ng0,p1,1\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("graph_id,mean_estimate\ng0,1.0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("graph_id,value\ng0,0.5\n")
+        argv = {
+            "fit-weights": ["--survey", str(survey)],
+            "compare": ["--gt", str(gt)],
+            "eval": ["--mode", "strength", "--pred", str(pred),
+                     "--gt", str(gt)],
+        }[command]
+        code, out, err = run_cli(
+            capsys, command, *argv, "--graphs", str(graph_dir)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {empty}: edge list has no nodes\n"
+
+
+_CELLS = st.sampled_from([
+    "g0", "g1", "p1", "0", "1", "2", "3", "-1", "0.5", "1e400", "nan",
+    "x", "a b", "#", "1;2", "",
+])
+_HEADERS = (
+    "graph_id,participant_id,estimate", "graph_id,mean_estimate",
+    "graph_id,value", "graph_id,members", "graph_id,rank,members",
+    "graph_id,rank,members,vote_share", "size,weight", "weight,size", "x",
+)
+
+
+def _table(header: str, width: int, separator: str = ",",
+           others: tuple[str, ...] = _HEADERS):
+    """File text: ``header`` or another first line, then one to six rows,
+    most of ``width`` cells."""
+    full = st.lists(_CELLS, min_size=width, max_size=width)
+    rows = st.lists(
+        st.one_of(full, full, full, st.lists(_CELLS, max_size=4)).map(
+            separator.join),
+        min_size=1, max_size=6,
+    )
+    first = st.one_of(st.just(header), st.sampled_from(others))
+    return st.tuples(first, rows).map(
+        lambda parts: "\n".join([parts[0], *parts[1]]) + "\n"
+    )
+
+
+# one well-formed file of each kind, so the fuzz also reaches the paths
+# behind the loaders; each file may also be empty
+_VALID = {
+    "g0.edges": "0 1\n1 2\n2 3\n",
+    "w.csv": "size,weight\n1,0.5\n2,1\n3,2\n4,0.25\n",
+    "survey.csv": "graph_id,participant_id,estimate\ng0,p1,2\ng0,p2,3\n",
+    "ranked.csv": "graph_id,rank,members,vote_share\ng0,1,1,\ng0,2,0;2,\n",
+    "mean.csv": "graph_id,mean_estimate\ng0,2.5\n",
+    "members.csv": "graph_id,members\ng0,1\n",
+    "values.csv": "graph_id,value\ng0,0.5\n",
+}
+_FILES = st.fixed_dictionaries({
+    name: st.one_of(st.just(_VALID[name]), st.just(""), generated)
+    for name, generated in {
+        "g0.edges": _table("0 1", 2, " ", others=("#", "0 0", "a b c")),
+        "w.csv": _table("size,weight", 2),
+        "survey.csv": _table("graph_id,participant_id,estimate", 3),
+        "ranked.csv": _table("graph_id,rank,members,vote_share", 4),
+        "mean.csv": _table("graph_id,mean_estimate", 2),
+        "members.csv": _table("graph_id,members", 2),
+        "values.csv": _table("graph_id,value", 2),
+    }.items()
+})
+
+
+_COMMANDS = {
+    "gen": ["gen", "--model", "{model}", "--n", "{n}", "--count", "2",
+            "--seed", "1", "--out", "suite"],
+    "strength": ["strength", "g0.edges", "--weights", "w.csv"],
+    "dismantle": ["dismantle", "g0.edges", "--k", "{k}", "--weights",
+                  "w.csv", "--objective", "{objective}"],
+    "fit-weights": ["fit-weights", "--survey", "survey.csv", "--graphs",
+                    ".", "--lambda", "{ridge}"],
+    "eval-match": ["eval", "--mode", "match", "--pred", "members.csv",
+                   "--gt", "ranked.csv"],
+    "eval-strength": ["eval", "--mode", "strength", "--pred", "values.csv",
+                      "--gt", "mean.csv", "--graphs", "."],
+    "compare": ["compare", "--graphs", ".", "--gt", "mean.csv",
+                "--weights", "w.csv"],
+}
+_OPTIONS = {
+    "gen": [("--p", "0.5"), ("--m", "{k}"), ("--stem", "s")],
+    "strength": [("--clamp-weights",), ("--all-metrics",),
+                 ("--metrics", "cole1,proposed"), ("--weights", "default")],
+    "dismantle": [("--clamp-weights",), ("--exact-size",), ("--budget", "3"),
+                  ("--emit-lp", "model.lp"), ("--out", "out.txt"),
+                  ("--weights", "default")],
+    "fit-weights": [("--out-weights", "fit.csv"), ("--report", "report.txt")],
+    "eval-match": [("--csv",), ("--out", "out.txt"),
+                   ("--summary-out", "summary.txt")],
+    "eval-strength": [("--csv",)],
+    "compare": [("--clamp-weights",), ("--metrics", "cole1,proposed"),
+                ("--out", "out.txt"), ("--weights", "default")],
+}
+# names in an argument list that stand for a file or directory in the test's
+# temporary directory
+_PATHS = {".", "suite", "model.lp", "out.txt", "fit.csv", "report.txt",
+          "summary.txt"}
+
+
+class TestFuzz:
+    """Generated input files for every subcommand: the CLI exits 0, or
+    exits 1 with an ``error:`` line, and no exception escapes."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        data=st.data(),
+        command=st.sampled_from(sorted(_COMMANDS)),
+        files=_FILES,
+        model=st.sampled_from(["gnp", "gnm"]),
+        n=st.integers(-1, 12),
+        k=st.integers(-1, 4),
+        objective=st.sampled_from(["proposed", "cole1", "cole2", "gfp"]),
+        ridge=st.sampled_from(["0", "0.5", "-1", "nan", "inf"]),
+    )
+    def test_every_subcommand_exits_cleanly(
+        self, data, command, files, model, n, k, objective, ridge
+    ):
+        options = data.draw(st.lists(
+            st.sampled_from(_OPTIONS[command]), max_size=3, unique=True
+        ))
+        fields = {"model": model, "n": n, "k": k, "objective": objective,
+                  "ridge": ridge}
+        argv = _COMMANDS[command] + [arg for option in options for arg in option]
+        argv = [arg.format(**fields) for arg in argv]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, text in files.items():
+                (root / name).write_text(text)
+            argv = [str(root / arg) if arg in files or arg in _PATHS else arg
+                    for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1), (argv, err.getvalue())
+        if code == 1:
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith("error: "), (argv, err.getvalue())
 
 
 class TestEntryPoint:

@@ -16,7 +16,7 @@ from netstrength.evaluation import (
     match_stats,
     rmse,
 )
-from netstrength.graph import Graph
+from netstrength.graph import EmptyGraphError, Graph
 from netstrength.metrics import WeightVector
 
 # Reference aggregate statistics for the bundled survey-table fixtures.
@@ -223,6 +223,10 @@ class TestCompareSuite:
         with pytest.raises(ValueError, match="weight vector"):
             compare_suite([("a", path_graph(3))], {"a": 2.0},
                           metrics=("proposed",))
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(EmptyGraphError):
+            compare_suite([("e", Graph.build(0))], {"e": 1.0}, metrics=("gfp",))
 
     def test_missing_ground_truth(self):
         with pytest.raises(ValueError, match="no ground-truth"):

@@ -77,39 +77,27 @@ class TestConstruction:
 
 class TestComponents:
     def test_empty_graph(self):
-        decomposition = components(Graph.build(0))
-        assert decomposition.sizes == ()
-        assert decomposition.count == 0
+        assert components(Graph.build(0)) == ()
 
     def test_path_plus_isolated(self):
         g = Graph.build(4, [(0, 1), (1, 2)])
-        decomposition = components(g)
-        assert sorted(decomposition.sizes) == [1, 3]
-        assert decomposition.assignment == (0, 0, 0, 1)
+        assert components(g) == (3, 1)
 
-    def test_indices_ordered_by_smallest_member(self):
-        # nodes 0 and 3 form one component, 1 and 2 another
-        g = Graph.build(4, [(0, 3), (1, 2)])
-        assert components(g).assignment == (0, 1, 1, 0)
+    def test_sizes_ordered_by_smallest_member(self):
+        # {0, 4} holds the smallest id, then {1, 2, 3}; size order would differ
+        g = Graph.build(5, [(0, 4), (1, 2), (2, 3)])
+        assert components(g) == (2, 3)
 
     def test_against_reachability_oracle(self):
         rng = random.Random(20260811)
         for _ in range(120):
             g = random_graph(rng, rng.randint(1, 30), rng.uniform(0.02, 0.3))
-            decomposition = components(g)
-            for u in range(g.n):
-                reach = reachable_from(g, u)
-                same = {
-                    v for v in range(g.n)
-                    if decomposition.assignment[v] == decomposition.assignment[u]
-                }
-                assert same == set(reach)
+            reach = {reachable_from(g, u) for u in range(g.n)}
+            assert sorted(components(g)) == sorted(len(r) for r in reach)
 
     @given(graphs(max_n=14))
     def test_sizes_partition_the_nodes(self, g: Graph):
-        decomposition = components(g)
-        assert sum(decomposition.sizes) == g.n
-        assert len(decomposition.assignment) == g.n
+        assert sum(components(g)) == g.n
 
     def test_removed_nodes_match_the_residual_graph(self):
         rng = random.Random(20261018)
@@ -118,14 +106,7 @@ class TestComponents:
             removed = [rng.randrange(g.n) for _ in range(rng.randint(0, 4))]
             if removed:
                 removed.append(removed[0])  # a repeated id counts once
-            decomposition = components(g, removed)
-            residual = components(remove_nodes(g, removed))
-            assert decomposition.sizes == residual.sizes
-            survivors = [u for u in range(g.n) if u not in removed]
-            assert [decomposition.assignment[u] for u in survivors] == list(
-                residual.assignment
-            )
-            assert all(decomposition.assignment[u] == -1 for u in removed)
+            assert components(g, removed) == components(remove_nodes(g, removed))
 
     @pytest.mark.parametrize("node", [3, -1])
     def test_unknown_removed_node_rejected(self, node):
@@ -177,7 +158,7 @@ class TestRemoveNodes:
 
     def test_path_interior_cut(self):
         residual = remove_nodes(path_graph(4), [1])
-        assert sorted(components(residual).sizes) == [1, 2]
+        assert sorted(components(residual)) == [1, 2]
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="unknown node id"):

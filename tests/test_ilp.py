@@ -9,7 +9,7 @@ import pytest
 from conftest import path_graph, random_graph
 from netstrength.datasets import GeneratorSpec, generate
 from netstrength.dismantle import DismantleQuery, best_removal
-from netstrength.graph import Graph, components, remove_nodes
+from netstrength.graph import Graph, remove_nodes
 from netstrength.ilp import (
     CONSTRAINT_FAMILIES,
     ConstraintViolationError,
@@ -96,16 +96,20 @@ GNM12_LP_SHA256 = (
 def honest_assignment(g: Graph, removed: set[int]) -> dict[str, float]:
     """Feasible point where every removed node takes its own singleton slot."""
     n = g.n
-    residual = remove_nodes(g, sorted(removed))
-    decomposition = components(residual)
-    survivors = [u for u in range(n) if u not in removed]
-    slot_of = {
-        old: decomposition.assignment[new] + 1
-        for new, old in enumerate(survivors)
-    }
-    next_slot = decomposition.count + 1
-    for u in sorted(removed):
-        slot_of[u] = next_slot
+    # residual components take slots 1.. by smallest node id, then each
+    # removed node a slot of its own in ascending id
+    slot_of: dict[int, int] = {}
+    next_slot = 1
+    for start in [u for u in range(n) if u not in removed] + sorted(removed):
+        if start in slot_of:
+            continue
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            if node not in slot_of:
+                slot_of[node] = next_slot
+                if node not in removed:
+                    stack.extend(v for v in g.adjacency[node] if v not in removed)
         next_slot += 1
     slot_sizes = {j: 0 for j in range(1, n + 1)}
     for slot in slot_of.values():

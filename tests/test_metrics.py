@@ -137,11 +137,11 @@ class TestBaselines:
         rng = random.Random(11)
         for _ in range(100):
             g = random_graph(rng, rng.randint(1, 25), rng.uniform(0, 0.4))
-            assert cole2(g).raw == max(components(g).sizes)
+            assert cole2(g).raw == max(components(g))
 
     @given(graphs(min_n=1, max_n=14))
     def test_bounds_and_extremes(self, g: Graph):
-        connected = components(g).count == 1
+        connected = len(components(g)) == 1
         edgeless = g.edge_count == 0
         for value in (cole1(g), cole2(g), gfp_score(g)):
             assert 1 <= value.raw <= g.n
@@ -165,15 +165,20 @@ class TestBaselines:
 class TestScore:
     def test_proposed_connected(self):
         w = default_weights()
-        assert score((5,), 5, "proposed", w) == 5 * w.value(5)
+        assert score((5,), "proposed", w) == 5 * w.value(5)
 
     def test_gfp_example(self):
-        assert score((2, 1), 3, "gfp") == 5 / 3
+        assert score((2, 1), "gfp") == 5 / 3
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown metric id"):
-            score((3,), 3, "degree")
+            score((3,), "degree")
 
     def test_proposed_needs_weights(self):
         with pytest.raises(ValueError, match="weight vector"):
-            score((3,), 3, "proposed")
+            score((3,), "proposed")
+
+    @pytest.mark.parametrize("metric_id", ["cole1", "cole2", "gfp"])
+    def test_no_components_is_an_empty_graph(self, metric_id):
+        with pytest.raises(EmptyGraphError):
+            score((), metric_id)

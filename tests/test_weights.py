@@ -162,6 +162,15 @@ class TestFitWeights:
         with pytest.raises(ValueError):
             fit_weights(dm, ridge=-1.0)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+    def test_non_finite_ridge_rejected(self, ridge):
+        dm = DesignMatrix(np.eye(2), np.ones(2), ("a", "b"))
+        with pytest.raises(
+            ValueError,
+            match=f"ridge parameter must be a finite number >= 0, got {ridge}",
+        ):
+            fit_weights(dm, ridge=ridge)
+
     def test_non_finite_rejected(self):
         dm = DesignMatrix(
             np.array([[np.nan, 0.0]]), np.array([1.0]), ("a",)
@@ -242,6 +251,16 @@ class TestSurveyCsv:
         survey, graph_dir = self.make_inputs(tmp_path)
         survey.write_text("graph_id,participant_id,estimate\np3,u1,2.0\np3,u2\n")
         with pytest.raises(ValueError, match=f"{survey}:3: .*'estimate'"):
+            load_survey_csv(survey, graph_dir)
+
+    def test_repeated_participant_rejected(self, tmp_path):
+        survey, graph_dir = self.make_inputs(tmp_path)
+        survey.write_text("graph_id,participant_id,estimate\np3,u1,2\np3,u1,3\n")
+        with pytest.raises(
+            ValueError,
+            match=f"{survey}:3: duplicate estimate from participant 'u1' "
+                  f"for graph 'p3'",
+        ):
             load_survey_csv(survey, graph_dir)
 
     def test_empty_survey(self, tmp_path):
