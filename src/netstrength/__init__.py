@@ -30,14 +30,7 @@ from .evaluation import (
     match_stats,
     rmse,
 )
-from .graph import (
-    CCSD,
-    EmptyGraphError,
-    Graph,
-    ccsd,
-    components,
-    remove_nodes,
-)
+from .graph import EmptyGraphError, Graph, components, remove_nodes
 from .ilp import ConstraintViolationError, emit_ilp, verify_ilp_solution
 from .metrics import (
     StrengthValue,
@@ -62,47 +55,3 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CCSD",
-    "ConstraintViolationError",
-    "DesignMatrix",
-    "DismantleQuery",
-    "DismantleResult",
-    "EdgeListFile",
-    "EdgeListParseError",
-    "EmptyGraphError",
-    "ExactSearchBudgetError",
-    "FitResult",
-    "GeneratorSpec",
-    "Graph",
-    "MatchReport",
-    "RankedGroundTruth",
-    "StrengthValue",
-    "SurveyDataset",
-    "SurveyRecord",
-    "WeightCoverageError",
-    "WeightVector",
-    "best_removal",
-    "build_system",
-    "ccsd",
-    "cole1",
-    "cole2",
-    "compare_suite",
-    "components",
-    "default_weights",
-    "emit_ilp",
-    "fit_weights",
-    "generate",
-    "gfp_score",
-    "load_edge_list",
-    "load_survey_csv",
-    "load_weights",
-    "match_stats",
-    "remove_nodes",
-    "rmse",
-    "save_edge_list",
-    "save_weights",
-    "sigma",
-    "verify_ilp_solution",
-]

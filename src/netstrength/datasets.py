@@ -24,6 +24,7 @@ import csv
 import json
 import logging
 import math
+import os
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -222,8 +223,16 @@ def load_edge_list(path: str | Path) -> Graph:
 
 
 def load_graph_by_id(graph_dir: str | Path, graph_id: str) -> Graph:
-    """Read ``<graph_dir>/<graph_id>.edges``, naming the id if it is missing;
-    a graph with no nodes raises ``ValueError`` (callers divide by ``n``)."""
+    """Read ``<graph_dir>/<graph_id>.edges``, naming the id if it is missing.
+
+    An id that is not one path component, so could name a file outside
+    ``graph_dir``, or a graph with no nodes (callers divide by ``n``)
+    raises ``ValueError``.
+    """
+    if graph_id in ("", ".", "..") or any(
+        sep in graph_id for sep in ("/", os.sep, os.altsep) if sep
+    ):
+        raise ValueError(f"graph id {graph_id!r} is not one path component")
     path = Path(graph_dir) / f"{graph_id}.edges"
     if not path.exists():
         raise FileNotFoundError(f"no edge list for graph id {graph_id!r}: {path}")

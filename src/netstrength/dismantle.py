@@ -91,8 +91,9 @@ def evaluate_removal(
 ) -> float:
     """Objective value of the residual graph after deleting ``removed``."""
     sizes = components(g, removed)
-    # cole1 maximizes c itself: n / c would also vary with the residual's size
-    if objective == "cole1":
+    # cole1 maximizes c itself: n / c would also vary with the residual's
+    # size; an empty residual goes to score, which raises EmptyGraphError
+    if objective == "cole1" and sizes:
         return float(len(sizes))
     return score(sizes, objective, weights)
 

@@ -1,4 +1,4 @@
-"""Immutable undirected graphs, their component sizes, and size counts.
+"""Immutable undirected graphs and their connected-component sizes.
 
 Nodes are contiguous 0-based integer ids. Dataset-native node names are kept
 in an optional label tuple so reported answers can use the original naming.
@@ -83,36 +83,6 @@ class Graph:
         return tuple(self.label(u) for u in range(self.n))
 
 
-@dataclass(frozen=True)
-class CCSD:
-    """Connected-component size counts.
-
-    ``counts`` has length ``n``; entry for size ``i`` (1-based, via
-    :meth:`count`) is the number of components with exactly ``i`` nodes.
-    The weighted sum ``sum(i * count(i))`` always equals ``n``.
-    """
-
-    counts: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    def count(self, size: int) -> int:
-        """Number of components of exactly ``size`` nodes."""
-        if not (1 <= size <= self.n):
-            raise ValueError(f"size must be in 1..{self.n}, got {size}")
-        return self.counts[size - 1]
-
-    def items(self) -> Iterable[tuple[int, int]]:
-        """(size, count) pairs for sizes with at least one component."""
-        return (
-            (size, count)
-            for size, count in enumerate(self.counts, start=1)
-            if count
-        )
-
-
 def components(g: Graph, removed: Iterable[int] = ()) -> tuple[int, ...]:
     """Component sizes of ``g`` without the nodes in ``removed``, via BFS.
 
@@ -143,19 +113,6 @@ def components(g: Graph, removed: Iterable[int] = ()) -> tuple[int, ...]:
                     queue.append(neighbor)
         sizes.append(size)
     return tuple(sizes)
-
-
-def ccsd(g: Graph) -> CCSD:
-    """Count components of each size 1..n.
-
-    Raises :class:`EmptyGraphError` for a graph with no nodes.
-    """
-    if g.n == 0:
-        raise EmptyGraphError("size counts are undefined for an empty graph")
-    counts = [0] * g.n
-    for size in components(g):
-        counts[size - 1] += 1
-    return CCSD(counts=tuple(counts))
 
 
 def remove_nodes(g: Graph, removed: Iterable[int]) -> Graph:

@@ -35,7 +35,7 @@ import math
 from typing import Iterator, Mapping, NamedTuple
 
 from .graph import Graph
-from .metrics import EXTENSION_CLAMP, WeightVector
+from .metrics import WeightVector
 
 CONSTRAINT_FAMILIES = (
     "edge-consistency",
@@ -157,14 +157,6 @@ def build_model(g: Graph, k: int, w: WeightVector) -> Model:
     binaries += [m_name(j, t) for j in slots for t in sizes]
     generals = [c_name(j) for j in slots] + [s_name(t) for t in sizes]
     return Model(objective, rows(), binaries, generals, n)
-
-
-def model_variables(n: int) -> list[str]:
-    """All variable names of an ``n``-node model, grouped x, y, m, C, S."""
-    # the variables depend on n alone, not on the edges, budget or weights
-    model = build_model(Graph.build(n, []), 1,
-                        WeightVector((0.0,), EXTENSION_CLAMP))
-    return model.binaries + model.generals
 
 
 _WRAP_WIDTH = 78

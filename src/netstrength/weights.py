@@ -10,13 +10,12 @@ the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .datasets import load_graph_by_id, parse_cell, read_rows
-from .graph import Graph, ccsd
+from .graph import Graph, components
 from .metrics import WeightVector
 
 # Bundled default calibration: weight of a size-i component, i = 1..30.
@@ -93,16 +92,16 @@ class FitResult:
 
 def build_system(dataset: SurveyDataset) -> DesignMatrix:
     """Assemble the design matrix and mean-estimate targets."""
+    import numpy as np
+
     if not dataset.records:
         raise ValueError("survey dataset is empty")
-    distributions = [ccsd(record.graph) for record in dataset.records]
-    width = max(
-        size for dist in distributions for size, _ in dist.items()
-    )
+    counts = [Counter(components(record.graph)) for record in dataset.records]
+    width = max(max(sizes) for sizes in counts)
     matrix = np.zeros((len(dataset.records), width))
     target = np.empty(len(dataset.records))
-    for row, (record, dist) in enumerate(zip(dataset.records, distributions)):
-        for size, count in dist.items():
+    for row, (record, sizes) in enumerate(zip(dataset.records, counts)):
+        for size, count in sizes.items():
             matrix[row, size - 1] = size * count
         target[row] = record.mean_estimate
     ids = tuple(record.graph_id for record in dataset.records)
@@ -117,6 +116,8 @@ def fit_weights(dm: DesignMatrix, ridge: float = 0.0) -> FitResult:
     dataset (all-zero columns) get weight 0. ``residual_norm`` is always
     evaluated on the original system.
     """
+    import numpy as np
+
     matrix, target = dm.matrix, dm.target
     if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
         raise ValueError("design matrix and target must be finite")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from netstrength.evaluation import (
     load_ranked_gt_csv,
     match_stats,
 )
-from netstrength.graph import ccsd, components, remove_nodes
+from netstrength.graph import components, remove_nodes
 from netstrength.ilp import emit_ilp, verify_ilp_solution
 from netstrength.metrics import (
     WeightVector,
@@ -102,7 +103,8 @@ def test_connected_graph_identity():
 def test_size_count_identity_on_500_graphs():
     """sum(i * count_i) == n exactly on 500 mixed random graphs, n <= 50."""
     for g in mixed_random_suite(500, 50, CRITERION_SEED + 1):
-        total = sum(size * count for size, count in ccsd(g).items())
+        counts = Counter(components(g))
+        total = sum(size * count for size, count in counts.items())
         assert total == g.n
 
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import netstrength
 from conftest import disjoint_paths, path_graph
 from netstrength.cli import main
 from netstrength.datasets import bundled_eval_path, save_edge_list
@@ -466,52 +465,54 @@ class TestCompare:
 
 class TestGraphDirectory:
     """Every subcommand that reads ``<dir>/<graph_id>.edges`` reports a
-    missing file the same way."""
+    missing file, an empty one and an id outside ``<dir>`` the same way."""
 
-    @pytest.mark.parametrize("command", ["fit-weights", "compare", "eval"])
-    def test_missing_edge_list(self, capsys, tmp_path, command):
-        graph_dir = tmp_path / "graphs"
-        graph_dir.mkdir()
+    COMMANDS = ["fit-weights", "compare", "eval"]
+
+    def run(self, capsys, tmp_path, command, graph_id):
+        """Run ``command`` on one row for ``graph_id`` over ``tmp_path/graphs``."""
         survey = tmp_path / "survey.csv"
-        survey.write_text("graph_id,participant_id,estimate\nghost,p1,1\n")
+        survey.write_text(
+            f"graph_id,participant_id,estimate\n{graph_id},p1,1\n"
+        )
         gt = tmp_path / "gt.csv"
-        gt.write_text("graph_id,mean_estimate\nghost,1.0\n")
+        gt.write_text(f"graph_id,mean_estimate\n{graph_id},1.0\n")
         pred = tmp_path / "pred.csv"
-        pred.write_text("graph_id,value\nghost,0.5\n")
+        pred.write_text(f"graph_id,value\n{graph_id},0.5\n")
         argv = {
             "fit-weights": ["--survey", str(survey)],
             "compare": ["--gt", str(gt)],
             "eval": ["--mode", "strength", "--pred", str(pred),
                      "--gt", str(gt)],
         }[command]
-        code, out, err = run_cli(
-            capsys, command, *argv, "--graphs", str(graph_dir)
+        return run_cli(
+            capsys, command, *argv, "--graphs", str(tmp_path / "graphs")
         )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_edge_list(self, capsys, tmp_path, command):
+        (tmp_path / "graphs").mkdir()
+        code, out, err = self.run(capsys, tmp_path, command, "ghost")
         assert (code, out) == (1, "")
-        missing = graph_dir / "ghost.edges"
+        missing = tmp_path / "graphs" / "ghost.edges"
         assert err == f"error: no edge list for graph id 'ghost': {missing}\n"
 
-    @pytest.mark.parametrize("command", ["fit-weights", "compare", "eval"])
-    def test_empty_edge_list(self, capsys, tmp_path, command):
-        graph_dir = tmp_path / "graphs"
-        graph_dir.mkdir()
-        empty = graph_dir / "g0.edges"
-        empty.write_text("")
-        survey = tmp_path / "survey.csv"
-        survey.write_text("graph_id,participant_id,estimate\ng0,p1,1\n")
-        gt = tmp_path / "gt.csv"
-        gt.write_text("graph_id,mean_estimate\ng0,1.0\n")
-        pred = tmp_path / "pred.csv"
-        pred.write_text("graph_id,value\ng0,0.5\n")
-        argv = {
-            "fit-weights": ["--survey", str(survey)],
-            "compare": ["--gt", str(gt)],
-            "eval": ["--mode", "strength", "--pred", str(pred),
-                     "--gt", str(gt)],
-        }[command]
-        code, out, err = run_cli(
-            capsys, command, *argv, "--graphs", str(graph_dir)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_graph_id_outside_directory(self, capsys, tmp_path, command):
+        (tmp_path / "graphs").mkdir()
+        save_edge_list(path_graph(3), tmp_path / "outside.edges")
+        code, out, err = self.run(capsys, tmp_path, command, "../outside")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: graph id '../outside' is not one path component\n"
         )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_edge_list(self, capsys, tmp_path, command):
+        (tmp_path / "graphs").mkdir()
+        empty = tmp_path / "graphs" / "g0.edges"
+        empty.write_text("")
+        code, out, err = self.run(capsys, tmp_path, command, "g0")
         assert (code, out) == (1, "")
         assert err == f"error: {empty}: edge list has no nodes\n"
 
@@ -645,9 +646,30 @@ class TestFuzz:
 
 
 class TestEntryPoint:
-    def test_public_names_resolve(self):
-        for name in netstrength.__all__:
-            assert getattr(netstrength, name) is not None, name
+    def test_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, netstrength, netstrength.cli\n"
+             "assert 'numpy' not in sys.modules"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_fit_weights_in_fresh_interpreter(self, tmp_path):
+        save_edge_list(path_graph(3), tmp_path / "g1.edges")
+        save_edge_list(disjoint_paths([1, 2]), tmp_path / "g2.edges")
+        survey = tmp_path / "survey.csv"
+        survey.write_text("graph_id,participant_id,estimate\n"
+                          "g1,p1,2.5\ng2,p1,1.5\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "netstrength.cli", "fit-weights",
+             "--survey", str(survey), "--graphs", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [row["size"] for row in parse_csv(proc.stdout)] == [
+            "1", "2", "3"
+        ]
 
     def test_console_script_help(self):
         proc = subprocess.run(
@@ -708,6 +730,19 @@ class TestGoldenOutput:
         "gfp": '{"k": 2, "objective": "gfp", "removed": ["0", "8"], '
                '"residual_value": 3.0, "ties": 1}\n',
     }
+    FIT_WEIGHTS = (
+        "size,weight\n"
+        "1,0.1353653204006996\n"
+        "2,0.0\n3,0.0\n4,0.0\n5,0.0\n6,0.0\n7,0.0\n8,0.0\n9,0.0\n"
+        "10,0.0\n11,0.0\n"
+        "12,0.6128557799332168\n"
+        "13,0.4318949753537923\n"
+        "14,0.26785714285714285\n"
+    )
+    FIT_REPORT = (
+        '{"graphs": 3, "lambda": 0.0, "rank": 3, '
+        '"residual_norm": 8.881784197001252e-16, "size_limit": 14}\n'
+    )
 
     @pytest.fixture
     def suite(self, capsys, tmp_path):
@@ -743,3 +778,18 @@ class TestGoldenOutput:
                 "--objective", objective,
             )
             assert (code, out) == (0, expected)
+
+    def test_fit_weights(self, capsys, suite, tmp_path):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(
+            "graph_id,participant_id,estimate\n"
+            "graph_0,p1,5.5\ngraph_0,p2,6\ngraph_1,p1,7.25\n"
+            "graph_1,p2,8\ngraph_2,p1,3\ngraph_2,p3,4.5\n"
+        )
+        report = tmp_path / "report.jsonl"
+        code, out, _ = run_cli(
+            capsys, "fit-weights", "--survey", str(survey),
+            "--graphs", str(suite), "--report", str(report),
+        )
+        assert (code, out) == (0, self.FIT_WEIGHTS)
+        assert report.read_text() == self.FIT_REPORT

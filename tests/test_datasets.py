@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -17,10 +18,19 @@ from netstrength.datasets import (
     bundled_eval_path,
     generate,
     load_edge_list,
+    load_graph_by_id,
     save_edge_list,
     write_suite,
 )
+from netstrength.evaluation import (
+    load_predictions_csv,
+    load_ranked_gt_csv,
+    load_strength_gt_csv,
+    load_strength_values_csv,
+)
 from netstrength.graph import Graph
+from netstrength.metrics import load_weights
+from netstrength.weights import load_survey_csv
 
 
 def labeled_edges(g: Graph) -> set[frozenset[str]]:
@@ -143,6 +153,39 @@ class TestEdgeListParsing:
         assert labeled_edges(g) == {
             frozenset(("b", "c")), frozenset(("a", "b"))
         }
+
+
+class TestLoadGraphById:
+    @pytest.mark.parametrize(
+        "graph_id", ["", ".", "..", "../g", "a/b", os.sep + "g"]
+    )
+    def test_id_must_be_one_path_component(self, tmp_path, graph_id):
+        # refused before any lookup, so a missing directory never shows
+        with pytest.raises(ValueError, match="not one path component"):
+            load_graph_by_id(tmp_path / "missing", graph_id)
+
+
+class TestLoaderErrors:
+    """Every loader names ``file:line`` for a bad value on line 3."""
+
+    @pytest.mark.parametrize("load, text", [
+        (lambda p: load_survey_csv(p, p.parent),
+         "graph_id,participant_id,estimate\ng1,p1,1\ng1,p2,x\n"),
+        (load_strength_gt_csv, "graph_id,mean_estimate\ng1,1\ng2,x\n"),
+        (load_strength_values_csv, "graph_id,value\ng1,0.5\ng2,x\n"),
+        (load_predictions_csv, "graph_id,members\ng1,a\ng2,;\n"),
+        (load_ranked_gt_csv,
+         "graph_id,rank,members,vote_share\ng1,1,a,0.5\ng1,x,b,0.5\n"),
+        (load_weights, "size,weight\n1,0.5\n2,x\n"),
+        (load_edge_list, "a b\nb c\na b c\n"),
+    ], ids=["survey", "strength_gt", "strength_values", "predictions",
+            "ranked_gt", "weights", "edge_list"])
+    def test_bad_cell_names_file_and_line(self, tmp_path, load, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load(path)
+        assert str(excinfo.value).startswith(f"{path}:3:")
 
 
 class TestRoundTrip:

@@ -14,8 +14,8 @@ from netstrength.dismantle import (
     best_removal,
     evaluate_removal,
 )
-from netstrength.graph import Graph
-from netstrength.metrics import WeightVector
+from netstrength.graph import EmptyGraphError, Graph
+from netstrength.metrics import METRIC_IDS, WeightVector
 from netstrength.weights import default_weights
 
 ALL_ONES = WeightVector.from_values([1.0] * 16)
@@ -132,6 +132,13 @@ class TestQueryValidation:
         assert evaluate_removal(g, (2, 2), objective, ALL_ONES) == (
             evaluate_removal(g, (2,), objective, ALL_ONES)
         )
+
+    @pytest.mark.parametrize("objective", METRIC_IDS)
+    def test_evaluate_removal_empty_residual(self, objective):
+        # every objective answers an empty residual the same way
+        with pytest.raises(EmptyGraphError):
+            evaluate_removal(Graph.build(2, [(0, 1)]), [0, 1], objective,
+                             ALL_ONES)
 
 
 class TestExamples:

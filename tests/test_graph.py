@@ -1,19 +1,13 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given
 
 from conftest import graphs, path_graph, random_graph, star_graph
-from netstrength.graph import (
-    EmptyGraphError,
-    Graph,
-    ccsd,
-    components,
-    remove_nodes,
-)
+from netstrength.graph import Graph, components, remove_nodes
 
 
 def reachable_from(g: Graph, start: int) -> frozenset[int]:
@@ -115,31 +109,19 @@ class TestComponents:
 
 
 class TestCcsd:
+    """The size distribution is ``Counter(components(g))``: size -> count."""
+
     def test_connected_graph_counts(self):
-        g = path_graph(20)
-        counts = ccsd(g).counts
-        assert counts[19] == 1
-        assert sum(counts) == 1
+        assert Counter(components(path_graph(20))) == {20: 1}
 
     def test_mixed_sizes(self):
         # components {3, 1, 1} on five nodes
         g = Graph.build(5, [(0, 1), (1, 2)])
-        assert ccsd(g).counts == (2, 0, 1, 0, 0)
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            ccsd(Graph.build(0))
-
-    def test_size_accessor_is_one_indexed(self):
-        g = Graph.build(5, [(0, 1), (1, 2)])
-        distribution = ccsd(g)
-        assert distribution.count(1) == 2
-        assert distribution.count(3) == 1
-        assert dict(distribution.items()) == {1: 2, 3: 1}
+        assert Counter(components(g)) == {1: 2, 3: 1}
 
     @given(graphs(max_n=16))
     def test_weighted_sum_is_node_count(self, g: Graph):
-        distribution = ccsd(g)
+        distribution = Counter(components(g))
         assert sum(
             size * count for size, count in distribution.items()
         ) == g.n

@@ -17,7 +17,6 @@ from netstrength.ilp import (
     c_name,
     emit_ilp,
     m_name,
-    model_variables,
     s_name,
     verify_ilp_solution,
     x_name,
@@ -158,7 +157,8 @@ class TestEmission:
             )
             assert len([v for v in declared if v.startswith("C_")]) == n
             assert len([v for v in declared if v.startswith("S_")]) == n + 1
-            assert sorted(declared) == sorted(model_variables(n))
+            model = build_model(g, 1, LINEAR_WEIGHTS)
+            assert sorted(declared) == sorted(model.binaries + model.generals)
 
     def test_budget_row_appears_once(self):
         text = emit_ilp(path_graph(3), 1, LINEAR_WEIGHTS)
