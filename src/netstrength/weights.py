@@ -112,9 +112,9 @@ def fit_weights(dm: DesignMatrix, ridge: float = 0.0) -> FitResult:
     """Solve ``min ||A w - E||^2 + ridge * ||w||^2``.
 
     With ``ridge=0`` and a rank-deficient system this returns the
-    minimum-norm least-squares solution, so sizes that never occur in the
-    dataset (all-zero columns) get weight 0. ``residual_norm`` is always
-    evaluated on the original system.
+    minimum-norm least-squares solution. Sizes that never occur in the
+    dataset (all-zero columns) get weight exactly 0.
+    ``residual_norm`` is always evaluated on the original system.
     """
     import numpy as np
 
@@ -133,6 +133,8 @@ def fit_weights(dm: DesignMatrix, ridge: float = 0.0) -> FitResult:
         padded = np.concatenate([target, np.zeros(width)])
         solution, _, _, _ = np.linalg.lstsq(augmented, padded, rcond=None)
         rank = int(np.linalg.matrix_rank(matrix))
+    # the optimum is 0 on an all-zero column, where lstsq can leave noise
+    solution[~matrix.any(axis=0)] = 0.0
     residual = float(np.linalg.norm(matrix @ solution - target))
     return FitResult(
         weights=WeightVector.from_values(solution),

@@ -332,9 +332,9 @@ class TestDismantle:
 
     def test_instance_too_large_is_explicit(self, capsys, tmp_path):
         target = tmp_path / "g.edges"
-        save_edge_list(Graph.build(41, []), target)
+        save_edge_list(Graph.build(60, []), target)
         code, _, err = run_cli(
-            capsys, "dismantle", str(target), "--k", "2",
+            capsys, "dismantle", str(target), "--k", "4",
             "--objective", "cole2",
         )
         assert code == 1
@@ -730,6 +730,18 @@ class TestGoldenOutput:
         "gfp": '{"k": 2, "objective": "gfp", "removed": ["0", "8"], '
                '"residual_value": 3.0, "ties": 1}\n',
     }
+    # k=3 with and without --exact-size: the same optimum either way
+    DISMANTLE_K3 = {
+        "proposed": '{"k": 3, "objective": "proposed", '
+                    '"removed": ["0", "1", "4"], "residual_value": 4.9788, '
+                    '"ties": 4}\n',
+        "cole1": '{"k": 3, "objective": "cole1", "removed": ["0", "3", "4"], '
+                 '"residual_value": 7.0, "ties": 3}\n',
+        "cole2": '{"k": 3, "objective": "cole2", "removed": ["0", "3", "4"], '
+                 '"residual_value": 3.0, "ties": 2}\n',
+        "gfp": '{"k": 3, "objective": "gfp", "removed": ["0", "3", "4"], '
+               '"residual_value": 1.9090909090909092, "ties": 1}\n',
+    }
     FIT_WEIGHTS = (
         "size,weight\n"
         "1,0.1353653204006996\n"
@@ -779,6 +791,16 @@ class TestGoldenOutput:
             )
             assert (code, out) == (0, expected)
 
+    @pytest.mark.parametrize("exact_size", [(), ("--exact-size",)],
+                             ids=["at-most-k", "exact-size"])
+    def test_dismantle_k3_each_objective(self, capsys, suite, exact_size):
+        for objective, expected in self.DISMANTLE_K3.items():
+            code, out, _ = run_cli(
+                capsys, "dismantle", str(suite / "graph_0.edges"), "--k", "3",
+                "--objective", objective, *exact_size,
+            )
+            assert (code, out) == (0, expected)
+
     def test_fit_weights(self, capsys, suite, tmp_path):
         survey = tmp_path / "survey.csv"
         survey.write_text(
@@ -793,3 +815,22 @@ class TestGoldenOutput:
         )
         assert (code, out) == (0, self.FIT_WEIGHTS)
         assert report.read_text() == self.FIT_REPORT
+
+    def test_fit_weights_ridge_gives_unseen_sizes_zero(
+        self, capsys, suite, tmp_path
+    ):
+        # no graph of the suite has a component of 2..11 nodes, and the
+        # exact ridge solution is 0 on those all-zero design columns
+        survey = tmp_path / "survey.csv"
+        survey.write_text(
+            "graph_id,participant_id,estimate\n"
+            "graph_0,p1,5.5\ngraph_1,p1,7.25\ngraph_2,p1,3\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "fit-weights", "--survey", str(survey),
+            "--graphs", str(suite), "--lambda", "0.5",
+        )
+        assert code == 0
+        weights = {row["size"]: row["weight"] for row in parse_csv(out)}
+        assert [weights[str(size)] for size in range(2, 12)] == ["0.0"] * 10
+        assert all(float(weights[size]) != 0 for size in ("1", "12", "13"))

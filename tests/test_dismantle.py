@@ -6,7 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import path_graph, random_graph, random_tree, star_graph
+from conftest import (
+    complete_graph,
+    path_graph,
+    random_graph,
+    random_tree,
+    star_graph,
+)
+from netstrength import dismantle
 from netstrength.dismantle import (
     DismantleQuery,
     DismantleResult,
@@ -15,7 +22,12 @@ from netstrength.dismantle import (
     evaluate_removal,
 )
 from netstrength.graph import EmptyGraphError, Graph
-from netstrength.metrics import METRIC_IDS, WeightVector
+from netstrength.metrics import (
+    EXTENSION_CLAMP,
+    METRIC_IDS,
+    WeightCoverageError,
+    WeightVector,
+)
 from netstrength.weights import default_weights
 
 ALL_ONES = WeightVector.from_values([1.0] * 16)
@@ -209,12 +221,10 @@ class TestExamples:
 
 class TestBudgetGuard:
     def test_default_limits(self):
-        big = Graph.build(41, [])
+        # 523,686 candidate sets, past the 500,000-set default cap
+        big = Graph.build(60, [])
         with pytest.raises(ExactSearchBudgetError, match="too large"):
-            best_removal(DismantleQuery(graph=big, k=2, objective="cole2"))
-        medium = Graph.build(26, [])
-        with pytest.raises(ExactSearchBudgetError):
-            best_removal(DismantleQuery(graph=medium, k=3, objective="cole2"))
+            best_removal(DismantleQuery(graph=big, k=4, objective="cole2"))
         wide = Graph.build(50, [])
         with pytest.raises(ExactSearchBudgetError):
             best_removal(DismantleQuery(graph=wide, k=5, objective="cole2"))
@@ -228,6 +238,15 @@ class TestBudgetGuard:
         assert best_removal(
             DismantleQuery(graph=g25, k=3, objective="cole2")
         ).residual_value == 1.0
+
+    def test_default_cap_is_inclusive(self, monkeypatch):
+        # 1 + 10 + 45 candidate sets
+        query = DismantleQuery(graph=path_graph(10), k=2, objective="cole2")
+        monkeypatch.setattr(dismantle, "DEFAULT_SUBSET_BUDGET", 56)
+        assert best_removal(query).residual_value == 3.0
+        monkeypatch.setattr(dismantle, "DEFAULT_SUBSET_BUDGET", 55)
+        with pytest.raises(ExactSearchBudgetError, match="needs 56 "):
+            best_removal(query)
 
     def test_explicit_budget_overrides(self):
         g = Graph.build(41, [])
@@ -259,6 +278,108 @@ class TestOracleEquivalence:
             assert actual.removed == expected.removed
             assert actual.residual_value == expected.residual_value
             assert actual.ties == expected.ties
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def disjoint_cliques(count: int, size: int) -> Graph:
+    return Graph.build(count * size, [
+        (block * size + u, block * size + v)
+        for block in range(count)
+        for u, v in combinations(range(size), 2)
+    ])
+
+
+class TestArticulationKernel:
+    """The search prices each set from one articulation-point DFS per
+    prefix; the bitmask oracle scores every set from scratch."""
+
+    @staticmethod
+    def assert_matches_oracle(g, k, objective, w, allow_fewer):
+        expected = oracle_best_removal(g, k, objective, w, allow_fewer)
+        actual = best_removal(DismantleQuery(
+            graph=g, k=k, objective=objective, weights=w,
+            allow_fewer=allow_fewer,
+        ))
+        assert (actual.removed, actual.residual_value, actual.ties) == (
+            expected.removed, expected.residual_value, expected.ties
+        ), (g, k, objective, w, allow_fewer)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_every_size_and_budget(self, objective):
+        rng = random.Random(f"kernel:{objective}")
+        for n in range(2, 13):
+            for k in range(1, min(4, n - 1) + 1):
+                g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+                weight_choices = [None]
+                if objective == "proposed":
+                    signed = WeightVector.from_values(
+                        [round(rng.uniform(-1, 2), 1)
+                         for _ in range(rng.randint(1, n))],
+                        EXTENSION_CLAMP,
+                    )
+                    weight_choices = [default_weights(), signed]
+                for w in weight_choices:
+                    for allow_fewer in (True, False):
+                        self.assert_matches_oracle(
+                            g, k, objective, w, allow_fewer
+                        )
+
+    @pytest.mark.parametrize("family", [
+        Graph.build(7, []),
+        complete_graph(6),
+        star_graph(7),
+        path_graph(8),
+        cycle_graph(8),
+        disjoint_cliques(3, 3),
+    ], ids=["empty", "complete", "star", "path", "cycle", "cliques"])
+    def test_tie_heavy_families(self, family):
+        for objective in OBJECTIVES:
+            weight_choices = (
+                [ALL_ONES, default_weights()] if objective == "proposed"
+                else [None]
+            )
+            for w in weight_choices:
+                for k in range(1, min(4, family.n - 1) + 1):
+                    for allow_fewer in (True, False):
+                        self.assert_matches_oracle(
+                            family, k, objective, w, allow_fewer
+                        )
+
+    def test_short_weights_raise_for_the_first_failing_set(self):
+        rng = random.Random(17)
+        raised = 0
+        for trial in range(60):
+            n = rng.randint(3, 9)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+            k = rng.randint(1, min(4, n - 1))
+            allow_fewer = trial % 2 == 0
+            w = WeightVector.from_values(
+                [rng.uniform(-1, 1) for _ in range(rng.randint(1, n - 1))]
+            )
+            sizes = range(k + 1) if allow_fewer else (k,)
+            expected = None
+            for subset in (s for size in sizes
+                           for s in combinations(range(n), size)):
+                try:
+                    evaluate_removal(g, subset, "proposed", w)
+                except WeightCoverageError as error:
+                    expected = str(error)
+                    break
+            query = DismantleQuery(
+                graph=g, k=k, objective="proposed", weights=w,
+                allow_fewer=allow_fewer,
+            )
+            if expected is None:
+                best_removal(query)
+                continue
+            raised += 1
+            with pytest.raises(WeightCoverageError) as info:
+                best_removal(query)
+            assert str(info.value) == expected
+        assert raised >= 20
 
 
 class TestStructuralProperties:
