@@ -105,11 +105,6 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
     weight_vector = None
     if args.objective == "proposed" or args.emit_lp:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)
-    if args.emit_lp:
-        Path(args.emit_lp).write_text(
-            ilp.emit_ilp(graph, args.k, weight_vector), encoding="utf-8"
-        )
-        logger.info("wrote model to %s", args.emit_lp)
     query = DismantleQuery(
         graph=graph,
         k=args.k,
@@ -119,6 +114,13 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
         max_subsets=args.budget,
     )
     result = best_removal(query)
+    # the model is written only after the search succeeds: a refused or
+    # failed run leaves no file behind
+    if args.emit_lp:
+        Path(args.emit_lp).write_text(
+            ilp.emit_ilp(graph, args.k, weight_vector), encoding="utf-8"
+        )
+        logger.info("wrote model to %s", args.emit_lp)
     _write_or_print(
         json.dumps(result.to_json_dict(), sort_keys=True) + "\n", args.out
     )
@@ -152,7 +154,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for graph_id in sorted(preds):
         if graph_id not in gt:
             raise ValueError(f"prediction for unknown graph id {graph_id!r}")
-        graph = datasets.load_graph_by_id(args.graphs, graph_id)
+        graph = datasets.load_graph_by_id(args.graphs, graph_id, args.pred)
         pred_values.append(preds[graph_id])
         gt_values.append(gt[graph_id] / graph.n)
     value = evaluation.rmse(pred_values, gt_values)
@@ -162,9 +164,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     gt = evaluation.load_strength_gt_csv(args.gt)
-    graphs = []
-    for graph_id in sorted(gt):
-        graphs.append((graph_id, datasets.load_graph_by_id(args.graphs, graph_id)))
+    graphs = [
+        (graph_id, datasets.load_graph_by_id(args.graphs, graph_id, args.gt))
+        for graph_id in sorted(gt)
+    ]
     weight_vector = None
     if "proposed" in args.metrics:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)

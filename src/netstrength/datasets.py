@@ -222,23 +222,39 @@ def load_edge_list(path: str | Path) -> Graph:
     return parsed.to_graph()
 
 
-def load_graph_by_id(graph_dir: str | Path, graph_id: str) -> Graph:
+def load_graph_by_id(
+    graph_dir: str | Path, graph_id: str, source: str | Path | None = None
+) -> Graph:
     """Read ``<graph_dir>/<graph_id>.edges``, naming the id if it is missing.
 
     An id that is not one path component, so could name a file outside
     ``graph_dir``, or a graph with no nodes (callers divide by ``n``)
-    raises ``ValueError``.
+    raises ``ValueError``. ``source`` is the CSV file that gave the id:
+    these errors then start with the ``file:line`` of its first row whose
+    ``graph_id`` is the id, looked up only when one is raised.
     """
+
+    def where() -> str:
+        if source is None:
+            return ""
+        rows = read_rows(source, ("graph_id",))
+        line = next((n for n, row in rows if row["graph_id"] == graph_id), "?")
+        return f"{source}:{line}: "
+
     if graph_id in ("", ".", "..") or any(
         sep in graph_id for sep in ("/", os.sep, os.altsep) if sep
     ):
-        raise ValueError(f"graph id {graph_id!r} is not one path component")
+        raise ValueError(
+            f"{where()}graph id {graph_id!r} is not one path component"
+        )
     path = Path(graph_dir) / f"{graph_id}.edges"
     if not path.exists():
-        raise FileNotFoundError(f"no edge list for graph id {graph_id!r}: {path}")
+        raise FileNotFoundError(
+            f"{where()}no edge list for graph id {graph_id!r}: {path}"
+        )
     graph = load_edge_list(path)
     if graph.n == 0:
-        raise ValueError(f"{path}: edge list has no nodes")
+        raise ValueError(f"{where()}{path}: edge list has no nodes")
     return graph
 
 

@@ -5,6 +5,9 @@ sizes; there is no heuristic fallback. The sets that share all but their
 last node share one Hopcroft-Tarjan DFS over the input graph without the
 shared nodes: its articulation points tell how each possible last node
 splits its component, so each set then costs O(deg) instead of a BFS.
+The prefix's component sizes and that split fix the residual sizes, so
+one memo keyed by them serves every prefix of a query: prefixes that
+leave the same sizes share their objective values.
 Instances whose enumeration would exceed the candidate-set budget raise
 instead of silently degrading. Objective directions:
 
@@ -30,9 +33,13 @@ from typing import Iterable, Iterator, Sequence
 from .graph import Graph, components
 from .metrics import METRIC_IDS, WeightVector, score
 
-# at the 2-6 us that one candidate set costs on sparse graphs, the default
-# cap bounds a search at about 3 s; dense graphs cost more per set
+# at the 2.5-6 us that one candidate set costs on sparse graphs, the
+# default cap bounds a search at about 3 s; dense graphs cost more per set
+# (11-13 us on the complete graph K58 at k=4, so 5-6 s)
 DEFAULT_SUBSET_BUDGET = 500_000
+# a query's memo is cleared once it holds more split values than this: a
+# 999-node path at k=2 would otherwise grow it by about 73 MiB
+_MEMO_LIMIT = 16_384
 
 _MAXIMIZED = {"cole1"}
 
@@ -123,18 +130,21 @@ def _check_budget(q: DismantleQuery) -> None:
 
 
 def _scored_sets(
-    q: DismantleQuery, size: int
+    q: DismantleQuery, size: int, memo: dict[tuple[int, ...], dict]
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """Every ``size``-node removal set with the objective value it leaves.
 
     Sets come in ``combinations`` order. Sets that share all but their last
     node share one Hopcroft-Tarjan DFS; deleting a last node ``c`` cuts off
     the DFS subtrees of its children ``d`` with ``low(d) >= disc(c)``.
+    ``memo`` maps a prefix's component sizes, then a split, to its value,
+    for every prefix and size of one query; a split that raises is not kept.
     """
     n, adjacency = q.graph.n, q.graph.adjacency
     if size == 0:
         yield (), _objective_value(components(q.graph), q.objective, q.weights)
         return
+    entries = sum(map(len, memo.values()))
     for prefix in combinations(range(n - 1), size - 1):
         # a removed node is "found" at n + 1: never entered, never a low-point
         disc = [0] * n
@@ -177,18 +187,24 @@ def _scored_sets(
                         low = child_low
             comp_sizes.append(time - first + 1)
         # the residual is every other component plus the pieces of c's own
-        # one, so that one's size and the pieces fix the value
-        split_values: dict[tuple[int, ...], float] = {}
+        # one, so the component sizes, that one's size and the pieces fix
+        # the value; an uncut split is keyed by the bare size
+        if entries > _MEMO_LIMIT:
+            memo.clear()
+            entries = 0
+        split_values = memo.setdefault(tuple(comp_sizes), {})
         for c in range(prefix[-1] + 1 if prefix else 0, n):
             index = comp_of[c]
-            cut = pieces.get(c, [])
-            split = (comp_sizes[index], *cut)
+            cut = pieces.get(c)
+            split = (comp_sizes[index], *cut) if cut else comp_sizes[index]
             value = split_values.get(split)
             if value is None:
+                cut = cut or []
                 rest = comp_sizes[index] - 1 - sum(cut)
                 sizes = (comp_sizes[:index] + comp_sizes[index + 1:] + cut
                          + ([rest] if rest else []))
                 value = split_values[split] = _objective_value(sizes, q.objective, q.weights)
+                entries += 1
             yield prefix + (c,), value
 
 
@@ -199,10 +215,11 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
     best_set: tuple[int, ...] = ()
     best_value = 0.0
     ties = 0
+    memo: dict[tuple[int, ...], dict] = {}
     # sizes ascend and combinations() yields each size in lexicographic
     # order, so the first set to reach the optimum is the tie-break winner
     for size in _candidate_sizes(q.k, q.allow_fewer):
-        for subset, value in _scored_sets(q, size):
+        for subset, value in _scored_sets(q, size, memo):
             if ties == 0 or sign * value < sign * best_value:
                 best_set, best_value, ties = subset, value, 1
             elif value == best_value:

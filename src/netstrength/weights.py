@@ -172,7 +172,7 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
         raise ValueError(f"{path}: survey file contains no records")
     records = []
     for graph_id in sorted(by_graph):
-        graph = load_graph_by_id(graph_dir, graph_id)
+        graph = load_graph_by_id(graph_dir, graph_id, path)
         for line_no, value in by_graph[graph_id]:
             if not (1.0 <= value <= graph.n):
                 raise ValueError(

@@ -339,6 +339,14 @@ class TestDismantle:
         )
         assert code == 1
         assert "too large for exact search" in err
+        lp_path = tmp_path / "model.lp"
+        code, out, err = run_cli(
+            capsys, "dismantle", str(target), "--k", "4",
+            "--clamp-weights", "--emit-lp", str(lp_path),
+        )
+        assert (code, out) == (1, "")
+        assert "too large for exact search" in err
+        assert not lp_path.exists()
 
 
 class TestEval:
@@ -465,20 +473,29 @@ class TestCompare:
 
 class TestGraphDirectory:
     """Every subcommand that reads ``<dir>/<graph_id>.edges`` reports a
-    missing file, an empty one and an id outside ``<dir>`` the same way."""
+    missing file, an empty one and an id outside ``<dir>`` the same way,
+    after the ``file:line`` of the first CSV row that names the id."""
 
     COMMANDS = ["fit-weights", "compare", "eval"]
+    # the CSV file whose rows give the ids each command loads
+    SOURCE = {"fit-weights": "survey.csv", "compare": "gt.csv",
+              "eval": "pred.csv"}
 
-    def run(self, capsys, tmp_path, command, graph_id):
-        """Run ``command`` on one row for ``graph_id`` over ``tmp_path/graphs``."""
+    def run(self, capsys, tmp_path, command, graph_id, rows=None):
+        """Run ``command`` on one row for ``graph_id`` over ``tmp_path/graphs``.
+
+        ``rows`` maps a file name to the data rows to write there instead.
+        """
+        rows = rows or {}
         survey = tmp_path / "survey.csv"
-        survey.write_text(
-            f"graph_id,participant_id,estimate\n{graph_id},p1,1\n"
-        )
+        survey.write_text("graph_id,participant_id,estimate\n" + rows.get(
+            "survey.csv", f"{graph_id},p1,1\n"))
         gt = tmp_path / "gt.csv"
-        gt.write_text(f"graph_id,mean_estimate\n{graph_id},1.0\n")
+        gt.write_text("graph_id,mean_estimate\n" + rows.get(
+            "gt.csv", f"{graph_id},1.0\n"))
         pred = tmp_path / "pred.csv"
-        pred.write_text(f"graph_id,value\n{graph_id},0.5\n")
+        pred.write_text("graph_id,value\n" + rows.get(
+            "pred.csv", f"{graph_id},0.5\n"))
         argv = {
             "fit-weights": ["--survey", str(survey)],
             "compare": ["--gt", str(gt)],
@@ -495,7 +512,10 @@ class TestGraphDirectory:
         code, out, err = self.run(capsys, tmp_path, command, "ghost")
         assert (code, out) == (1, "")
         missing = tmp_path / "graphs" / "ghost.edges"
-        assert err == f"error: no edge list for graph id 'ghost': {missing}\n"
+        row = tmp_path / self.SOURCE[command]
+        assert err == (
+            f"error: {row}:2: no edge list for graph id 'ghost': {missing}\n"
+        )
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_graph_id_outside_directory(self, capsys, tmp_path, command):
@@ -503,8 +523,9 @@ class TestGraphDirectory:
         save_edge_list(path_graph(3), tmp_path / "outside.edges")
         code, out, err = self.run(capsys, tmp_path, command, "../outside")
         assert (code, out) == (1, "")
+        row = tmp_path / self.SOURCE[command]
         assert err == (
-            "error: graph id '../outside' is not one path component\n"
+            f"error: {row}:2: graph id '../outside' is not one path component\n"
         )
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -514,7 +535,26 @@ class TestGraphDirectory:
         empty.write_text("")
         code, out, err = self.run(capsys, tmp_path, command, "g0")
         assert (code, out) == (1, "")
-        assert err == f"error: {empty}: edge list has no nodes\n"
+        row = tmp_path / self.SOURCE[command]
+        assert err == f"error: {row}:2: {empty}: edge list has no nodes\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_error_names_first_row_of_the_id(self, capsys, tmp_path, command):
+        (tmp_path / "graphs").mkdir()
+        save_edge_list(path_graph(3), tmp_path / "graphs" / "g1.edges")
+        code, out, err = self.run(capsys, tmp_path, command, "ghost", rows={
+            "survey.csv": "g1,p1,2\n\nghost,p1,1\nghost,p2,1\n",
+            "gt.csv": "g1,2.0\nghost,1.0\n",
+            "pred.csv": "ghost,0.5\ng1,0.5\n",
+        })
+        assert (code, out) == (1, "")
+        line = {"fit-weights": 4, "compare": 3, "eval": 2}[command]
+        row = tmp_path / self.SOURCE[command]
+        missing = tmp_path / "graphs" / "ghost.edges"
+        assert err == (
+            f"error: {row}:{line}: no edge list for graph id 'ghost': "
+            f"{missing}\n"
+        )
 
 
 _CELLS = st.sampled_from([

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -24,6 +25,7 @@ from netstrength.dismantle import (
 from netstrength.graph import EmptyGraphError, Graph
 from netstrength.metrics import (
     EXTENSION_CLAMP,
+    EXTENSION_ERROR,
     METRIC_IDS,
     WeightCoverageError,
     WeightVector,
@@ -292,6 +294,30 @@ def disjoint_cliques(count: int, size: int) -> Graph:
     ])
 
 
+TIE_HEAVY_FAMILIES = [
+    Graph.build(7, []),
+    complete_graph(6),
+    star_graph(7),
+    path_graph(8),
+    cycle_graph(8),
+    disjoint_cliques(3, 3),
+]
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """``[count]`` of the search's objective calls; the test may reset it."""
+    calls = [0]
+    objective_value = dismantle._objective_value
+
+    def counted(*args):
+        calls[0] += 1
+        return objective_value(*args)
+
+    monkeypatch.setattr(dismantle, "_objective_value", counted)
+    return calls
+
+
 class TestArticulationKernel:
     """The search prices each set from one articulation-point DFS per
     prefix; the bitmask oracle scores every set from scratch."""
@@ -327,14 +353,9 @@ class TestArticulationKernel:
                             g, k, objective, w, allow_fewer
                         )
 
-    @pytest.mark.parametrize("family", [
-        Graph.build(7, []),
-        complete_graph(6),
-        star_graph(7),
-        path_graph(8),
-        cycle_graph(8),
-        disjoint_cliques(3, 3),
-    ], ids=["empty", "complete", "star", "path", "cycle", "cliques"])
+    @pytest.mark.parametrize("family", TIE_HEAVY_FAMILIES,
+                             ids=["empty", "complete", "star", "path",
+                                  "cycle", "cliques"])
     def test_tie_heavy_families(self, family):
         for objective in OBJECTIVES:
             weight_choices = (
@@ -380,6 +401,62 @@ class TestArticulationKernel:
                 best_removal(query)
             assert str(info.value) == expected
         assert raised >= 20
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_memo_bound_keeps_answers(self, monkeypatch, limit):
+        # 0 clears the query memo before a prefix once it holds a value,
+        # 1 once it holds two: the answers must not depend on it
+        monkeypatch.setattr(dismantle, "_MEMO_LIMIT", limit)
+        for objective in OBJECTIVES:
+            self.test_every_size_and_budget(objective)
+        for family in TIE_HEAVY_FAMILIES:
+            self.test_tie_heavy_families(family)
+
+    def test_first_error_after_memo_hits(self, objective_calls):
+        """The first failing set raises even when earlier prefixes have
+        filled the query memo; a raising split is never stored."""
+        rng = random.Random("warm memo")
+        warm = 0
+        for _ in range(100):
+            # node 0 joins everything, so the sets without it leave one
+            # large component and raise after those with it
+            n = rng.randint(6, 11)
+            g = Graph.build(n, set(random_graph(rng, n, 0.2).edges)
+                            | {(0, u) for u in range(1, n)})
+            k = rng.randint(2, min(4, n - 2))
+            w = WeightVector.from_values(
+                [rng.uniform(-1, 1) for _ in range(rng.randint(2, n - k))]
+            )
+            first = None
+            for position, subset in enumerate(combinations(range(n), k)):
+                try:
+                    evaluate_removal(g, subset, "proposed", w)
+                except WeightCoverageError as error:
+                    first = position, str(error)
+                    break
+            if first is None:
+                continue
+            objective_calls[0] = 0
+            with pytest.raises(WeightCoverageError) as info:
+                best_removal(DismantleQuery(
+                    graph=g, k=k, objective="proposed", weights=w,
+                    allow_fewer=False,
+                ))
+            assert str(info.value) == first[1]
+            # fewer objective calls than sets up to the raising one: the
+            # memo answered some of the sets before it
+            warm += objective_calls[0] < first[0] + 1
+        assert warm >= 30
+
+    def test_memo_spans_prefixes(self, objective_calls):
+        # three disjoint triangles: every prefix leaves one of a few size
+        # tuples, so a query-wide memo prices the 256 sets with few calls
+        g = disjoint_cliques(3, 3)
+        result = best_removal(DismantleQuery(
+            graph=g, k=4, objective="proposed", weights=default_weights(),
+        ))
+        assert result == oracle_best_removal(g, 4, "proposed", default_weights())
+        assert objective_calls[0] <= 45
 
 
 class TestStructuralProperties:
@@ -439,3 +516,42 @@ class TestStructuralProperties:
             assert merged[2] == reference.removed
             assert merged_value == reference.residual_value
             assert ties == reference.ties
+
+
+def digest_queries():
+    """300 seeded queries: n 2..13, k <= 4, every objective, both
+    ``allow_fewer`` values, and for ``proposed`` short signed weights
+    under the clamp or the error policy, so some queries raise."""
+    rng = random.Random("answer digest")
+    for index in range(300):
+        n = rng.randint(2, 13)
+        k = rng.randint(1, min(4, n - 1))
+        objective = OBJECTIVES[index % 4]
+        g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+        w = None
+        if objective == "proposed":
+            w = WeightVector.from_values(
+                [round(rng.uniform(-1, 2), 1) for _ in range(rng.randint(1, n))],
+                rng.choice([EXTENSION_CLAMP, EXTENSION_ERROR]),
+            )
+        yield DismantleQuery(graph=g, k=k, objective=objective, weights=w,
+                             allow_fewer=rng.random() < 0.5)
+
+
+class TestAnswerDigest:
+    """The removed set, ``repr`` of the value and the ties of every digest
+    query, or its error text, hashed into one pinned SHA-256: any change
+    to an answer, a tie count or the first error changes the digest."""
+
+    DIGEST = "43cca1d2b233a915916613c0dcd3e2339d5e11f9faaabaae1a3cf37db0ccb979"
+
+    def test_answers_match_pinned_digest(self):
+        digest = hashlib.sha256()
+        for query in digest_queries():
+            try:
+                result = best_removal(query)
+                line = f"{result.removed} {result.residual_value!r} {result.ties}"
+            except WeightCoverageError as error:
+                line = f"error {error}"
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
