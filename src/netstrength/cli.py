@@ -153,10 +153,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt_values = []
     for graph_id in sorted(preds):
         if graph_id not in gt:
-            raise ValueError(f"prediction for unknown graph id {graph_id!r}")
+            raise ValueError(f"{datasets.graph_id_row(args.pred, graph_id)}: "
+                             f"prediction for unknown graph id {graph_id!r}")
         graph = datasets.load_graph_by_id(args.graphs, graph_id, args.pred)
         pred_values.append(preds[graph_id])
         gt_values.append(gt[graph_id] / graph.n)
+    # both files must cover the same ids: a subset would score silently
+    for graph_id in gt:
+        if graph_id not in preds:
+            raise ValueError(f"{datasets.graph_id_row(args.gt, graph_id)}: "
+                             f"no prediction for graph id {graph_id!r}")
     value = evaluation.rmse(pred_values, gt_values)
     sys.stdout.write(f"statistic,value\nrmse,{value!r}\n")
     return 0

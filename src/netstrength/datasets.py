@@ -222,6 +222,14 @@ def load_edge_list(path: str | Path) -> Graph:
     return parsed.to_graph()
 
 
+def graph_id_row(source: str | Path, graph_id: str) -> str:
+    """``file:line`` of the first row of CSV ``source`` whose ``graph_id``
+    is the id; loaders drop line numbers, so errors look the row up."""
+    rows = read_rows(source, ("graph_id",))
+    line = next((n for n, row in rows if row["graph_id"] == graph_id), "?")
+    return f"{source}:{line}"
+
+
 def load_graph_by_id(
     graph_dir: str | Path, graph_id: str, source: str | Path | None = None
 ) -> Graph:
@@ -230,16 +238,11 @@ def load_graph_by_id(
     An id that is not one path component, so could name a file outside
     ``graph_dir``, or a graph with no nodes (callers divide by ``n``)
     raises ``ValueError``. ``source`` is the CSV file that gave the id:
-    these errors then start with the ``file:line`` of its first row whose
-    ``graph_id`` is the id, looked up only when one is raised.
+    these errors then start with the :func:`graph_id_row` of the id.
     """
 
     def where() -> str:
-        if source is None:
-            return ""
-        rows = read_rows(source, ("graph_id",))
-        line = next((n for n, row in rows if row["graph_id"] == graph_id), "?")
-        return f"{source}:{line}: "
+        return "" if source is None else f"{graph_id_row(source, graph_id)}: "
 
     if graph_id in ("", ".", "..") or any(
         sep in graph_id for sep in ("/", os.sep, os.altsep) if sep

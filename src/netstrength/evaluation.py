@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .datasets import parse_cell, read_rows
-from .graph import Graph
-from .metrics import METRIC_IDS, WeightVector, compute_metric
+from .graph import Graph, components
+from .metrics import METRIC_IDS, WeightVector, score
 
 MEMBER_SEPARATOR = ";"
 _STATISTICS = ("exact_match", "rank_match", "percentage_match")
@@ -226,9 +226,10 @@ def compare_suite(
     for graph_id, graph in graphs:
         if graph_id not in gt_strengths:
             raise ValueError(f"no ground-truth strength for graph {graph_id!r}")
+        sizes = components(graph)
         values = []
         for metric in metrics:
-            normalized = compute_metric(graph, metric, weights).normalized
+            normalized = score(sizes, metric, weights) / graph.n
             normalized_by_metric[metric].append(normalized)
             values.append(normalized)
         gt_norm = gt_strengths[graph_id] / graph.n

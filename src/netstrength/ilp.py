@@ -32,7 +32,7 @@ it.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import Graph
 from .metrics import WeightVector
@@ -61,35 +61,17 @@ class ConstraintViolationError(ValueError):
         self.family = family
 
 
-def x_name(i: int, j: int) -> str:
-    return f"x_{i}_{j}"
-
-
-def y_name(i: int) -> str:
-    return f"y_{i}"
-
-
-def m_name(j: int, t: int) -> str:
-    return f"m_{j}_{t}"
-
-
-def c_name(j: int) -> str:
-    return f"C_{j}"
-
-
-def s_name(t: int) -> str:
-    return f"S_{t}"
-
-
-Terms = list[tuple[float, str]]
+Coefficients = tuple[float, ...]
 
 
 class Row(NamedTuple):
-    """One linear constraint ``sum(terms) <sense> rhs``."""
+    """One linear constraint ``sum(coefficients * names) <sense> rhs``; the
+    rows of one pattern share one ``coefficients`` tuple."""
 
     family: str
     label: str
-    terms: Terms
+    coefficients: Coefficients
+    names: Sequence[str]
     sense: str  # "<=", ">=" or "="
     rhs: int
 
@@ -97,11 +79,12 @@ class Row(NamedTuple):
 class Model(NamedTuple):
     """The model for one graph, budget and weight vector.
 
-    ``rows`` is a one-shot generator in emission order. ``binaries`` are
-    0/1 variables; ``generals`` are integers in ``0..upper``.
+    ``objective`` is a ``(coefficients, names)`` pair. ``rows`` is a
+    one-shot generator in emission order. ``binaries`` are 0/1 variables;
+    ``generals`` are integers in ``0..upper``.
     """
 
-    objective: Terms
+    objective: tuple[Coefficients, list[str]]
     rows: Iterator[Row]
     binaries: list[str]
     generals: list[str]
@@ -118,61 +101,68 @@ def build_model(g: Graph, k: int, w: WeightVector) -> Model:
         raise ValueError(f"budget k must satisfy 1 <= k < n, got k={k}, n={n}")
     slots = range(1, n + 1)
     sizes = range(n + 1)
+    # every name is formatted once: x[i - 1][j - 1], y[i - 1], m[j - 1][t],
+    # c[j - 1] and s[t]
+    x = [[f"x_{i}_{j}" for j in slots] for i in slots]
+    y = [f"y_{i}" for i in slots]
+    m = [[f"m_{j}_{t}" for t in sizes] for j in slots]
+    c = [f"C_{j}" for j in slots]
+    s = [f"S_{t}" for t in sizes]
+    ones, all_ones = (1.0,) * n, (1.0,) * (n + 1)
+    total = (1.0,) + (-1.0,) * n
+    link = (1.0,) + tuple(-float(t) for t in slots)
+    up, lo = (1.0, -1.0, -1.0, -1.0), (1.0, -1.0, 1.0, 1.0)
 
     def rows() -> Iterator[Row]:
         for u, v in sorted(g.edges):
-            a, b = u + 1, v + 1
-            ya, yb = y_name(a), y_name(b)
-            for j in slots:
-                split = [(1.0, x_name(a, j)), (-1.0, x_name(b, j))]
-                yield Row("edge-consistency", f"edge_{a}_{b}_up_{j}",
-                          split + [(-1.0, ya), (-1.0, yb)], "<=", 0)
-                yield Row("edge-consistency", f"edge_{a}_{b}_lo_{j}",
-                          split + [(1.0, ya), (1.0, yb)], ">=", 0)
+            label = f"edge_{u + 1}_{v + 1}_"
+            for j, xu, xv in zip(slots, x[u], x[v]):
+                names = (xu, xv, y[u], y[v])
+                yield Row("edge-consistency", f"{label}up_{j}", up, names,
+                          "<=", 0)
+                yield Row("edge-consistency", f"{label}lo_{j}", lo, names,
+                          ">=", 0)
         for i in slots:
-            yield Row("vertex-assignment", f"assign_{i}",
-                      [(1.0, x_name(i, j)) for j in slots], "=", 1)
+            yield Row("vertex-assignment", f"assign_{i}", ones, x[i - 1],
+                      "=", 1)
+        for j, column in zip(slots, zip(*x)):
+            yield Row("component-size", f"compsize_{j}", total,
+                      (c[j - 1], *column), "=", 0)
+        yield Row("budget", "budget", ones, y, "<=", k)
         for j in slots:
-            yield Row("component-size", f"compsize_{j}",
-                      [(1.0, c_name(j))]
-                      + [(-1.0, x_name(i, j)) for i in slots], "=", 0)
-        yield Row("budget", "budget", [(1.0, y_name(i)) for i in slots],
-                  "<=", k)
+            yield Row("size-indicator", f"indicator_{j}", all_ones, m[j - 1],
+                      "=", 1)
         for j in slots:
-            yield Row("size-indicator", f"indicator_{j}",
-                      [(1.0, m_name(j, t)) for t in sizes], "=", 1)
-        for j in slots:
-            yield Row("size-link", f"sizelink_{j}",
-                      [(1.0, c_name(j))]
-                      + [(-float(t), m_name(j, t)) for t in slots], "=", 0)
-        for t in sizes:
-            yield Row("size-count", f"sizecount_{t}",
-                      [(1.0, s_name(t))]
-                      + [(-1.0, m_name(j, t)) for j in slots], "=", 0)
+            yield Row("size-link", f"sizelink_{j}", link,
+                      (c[j - 1], *m[j - 1][1:]), "=", 0)
+        for t, column in zip(sizes, zip(*m)):
+            yield Row("size-count", f"sizecount_{t}", total,
+                      (s[t], *column), "=", 0)
 
-    objective = [(t * w.value(t), s_name(t)) for t in slots]
-    objective += [(-w.value(1), y_name(i)) for i in slots]
-    binaries = [x_name(i, j) for i in slots for j in slots]
-    binaries += [y_name(i) for i in slots]
-    binaries += [m_name(j, t) for j in slots for t in sizes]
-    generals = [c_name(j) for j in slots] + [s_name(t) for t in sizes]
-    return Model(objective, rows(), binaries, generals, n)
+    weights = [t * w.value(t) for t in slots] + [-w.value(1)] * n
+    objective = (tuple(weights), s[1:] + y)
+    binaries = [name for names in x + [y] + m for name in names]
+    return Model(objective, rows(), binaries, c + s, n)
 
 
 _WRAP_WIDTH = 78
 
 
-def _emit_row(lines: list[str], label: str, terms: Terms, tail: str = "") -> None:
-    """Append one labeled expression, wrapped well below the line-length
-    limits of classic LP readers; continuation lines are indented."""
-    pieces: list[str] = []
-    for coefficient, name in terms:
+def _signs(coefficients: Coefficients) -> list[str]:
+    """The sign and magnitude text in front of each name of a row."""
+    signs = []
+    for position, coefficient in enumerate(coefficients):
         magnitude = abs(coefficient)
-        body = name if magnitude == 1 else f"{magnitude!r} {name}"
+        body = "" if magnitude == 1 else f"{magnitude!r} "
         sign = "+ " if coefficient >= 0 else "- "
-        pieces.append(sign + body if pieces or coefficient < 0 else body)
-    if tail:
-        pieces.append(tail)
+        signs.append(sign + body if position or coefficient < 0 else body)
+    return signs
+
+
+def _wrap(label: str, pieces: list[str]) -> str:
+    """One labeled expression, wrapped well below the line-length limits
+    of classic LP readers; continuation lines are indented."""
+    lines = []
     current = f" {label}:"
     for piece in pieces:
         if len(current) + 1 + len(piece) > _WRAP_WIDTH and current.strip():
@@ -180,6 +170,7 @@ def _emit_row(lines: list[str], label: str, terms: Terms, tail: str = "") -> Non
             current = "  "
         current += f" {piece}"
     lines.append(current)
+    return "\n".join(lines)
 
 
 def emit_ilp(g: Graph, k: int, w: WeightVector) -> str:
@@ -190,15 +181,25 @@ def emit_ilp(g: Graph, k: int, w: WeightVector) -> str:
     general sections for the variable groups.
     """
     model = build_model(g, k, w)
+    coefficients, names = model.objective
     lines = [
         f"\\ component-size strength removal model: n={g.n}, "
         f"edges={g.edge_count}, k={k}",
         "Minimize",
+        _wrap("obj", list(map(str.__add__, _signs(coefficients), names))),
+        "Subject To",
     ]
-    _emit_row(lines, "obj", model.objective)
-    lines.append("Subject To")
-    for row in model.rows:
-        _emit_row(lines, row.label, row.terms, f"{row.sense} {row.rhs}")
+    # the rows of one pattern share one coefficients tuple: sign it once
+    signs_of: dict[Coefficients, list[str]] = {}
+    for _, label, coefficients, names, sense, rhs in model.rows:
+        signs = signs_of.get(coefficients)
+        if signs is None:
+            signs = signs_of[coefficients] = _signs(coefficients)
+        pieces = list(map(str.__add__, signs, names))
+        pieces.append(f"{sense} {rhs}")
+        line = f" {label}: " + " ".join(pieces)
+        # a line that fits is what the wrap loop would build
+        lines.append(line if len(line) <= _WRAP_WIDTH else _wrap(label, pieces))
     lines.append("Bounds")
     lines += [f" 0 <= {name} <= {model.upper}" for name in model.generals]
     for title, names in (("Binaries", model.binaries),
@@ -252,7 +253,8 @@ def verify_ilp_solution(
                 f"0..{model.upper}",
             )
     for row in model.rows:
-        lhs = sum(coefficient * value[name] for coefficient, name in row.terms)
+        lhs = sum(coefficient * value[name]
+                  for coefficient, name in zip(row.coefficients, row.names))
         gap = lhs - row.rhs
         too_high = gap > TOLERANCE and row.sense != ">="
         too_low = gap < -TOLERANCE and row.sense != "<="
@@ -263,4 +265,4 @@ def verify_ilp_solution(
                 f"needs {row.sense} {row.rhs}",
             )
     return sum(coefficient * value[name]
-               for coefficient, name in model.objective)
+               for coefficient, name in zip(*model.objective))

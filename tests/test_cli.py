@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netstrength
 from conftest import disjoint_paths, path_graph
 from netstrength.cli import main
 from netstrength.datasets import bundled_eval_path, save_edge_list
@@ -442,6 +444,39 @@ class TestEval:
         assert code == 1
         assert "unknown graph id" in err
 
+    def strength_eval(self, capsys, tmp_path, gt_rows, pred_rows):
+        graph_dir = tmp_path / "graphs"
+        graph_dir.mkdir()
+        for graph_id in ("g1", "g2"):
+            save_edge_list(path_graph(4), graph_dir / f"{graph_id}.edges")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("graph_id,mean_estimate\n" + gt_rows)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("graph_id,value\n" + pred_rows)
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "strength", "--pred", str(pred),
+            "--gt", str(gt), "--graphs", str(graph_dir),
+        )
+        return code, out, err, gt, pred
+
+    def test_strength_mode_unknown_id_names_its_row(self, capsys, tmp_path):
+        code, out, err, _, pred = self.strength_eval(
+            capsys, tmp_path, "g1,2.0\n", "g1,0.5\ng9,0.5\n"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {pred}:3: prediction for unknown graph id 'g9'\n"
+        )
+
+    def test_strength_mode_refuses_unpredicted_rows(self, capsys, tmp_path):
+        # a ground-truth row with no prediction used to be left out of
+        # the RMSE without a word
+        code, out, err, gt, _ = self.strength_eval(
+            capsys, tmp_path, "g1,2.0\ng2,4.0\n", "g1,0.5\n"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {gt}:3: no prediction for graph id 'g2'\n"
+
 
 class TestCompare:
     def test_table_with_rmse_rows(self, capsys, tmp_path):
@@ -685,13 +720,22 @@ class TestFuzz:
             assert last.startswith("error: "), (argv, err.getvalue())
 
 
+def child_env() -> dict[str, str]:
+    """Environment in which a child interpreter imports the same package
+    tree as the tests, installed or not."""
+    src = str(Path(netstrength.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, path]) if path else src}
+
+
 class TestEntryPoint:
     def test_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, netstrength, netstrength.cli\n"
              "assert 'numpy' not in sys.modules"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -704,7 +748,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "netstrength.cli", "fit-weights",
              "--survey", str(survey), "--graphs", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert [row["size"] for row in parse_csv(proc.stdout)] == [
@@ -714,7 +758,7 @@ class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "netstrength.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         for name in ("gen", "strength", "fit-weights", "dismantle", "eval",

@@ -14,13 +14,8 @@ from netstrength.ilp import (
     CONSTRAINT_FAMILIES,
     ConstraintViolationError,
     build_model,
-    c_name,
     emit_ilp,
-    m_name,
-    s_name,
     verify_ilp_solution,
-    x_name,
-    y_name,
 )
 from netstrength.metrics import (
     EXTENSION_CLAMP,
@@ -116,15 +111,15 @@ def honest_assignment(g: Graph, removed: set[int]) -> dict[str, float]:
     assignment: dict[str, float] = {}
     for node in range(n):
         i = node + 1
-        assignment[y_name(i)] = 1.0 if node in removed else 0.0
+        assignment[f"y_{i}"] = 1.0 if node in removed else 0.0
         for j in range(1, n + 1):
-            assignment[x_name(i, j)] = 1.0 if slot_of[node] == j else 0.0
+            assignment[f"x_{i}_{j}"] = 1.0 if slot_of[node] == j else 0.0
     for j in range(1, n + 1):
-        assignment[c_name(j)] = float(slot_sizes[j])
+        assignment[f"C_{j}"] = float(slot_sizes[j])
         for t in range(n + 1):
-            assignment[m_name(j, t)] = 1.0 if slot_sizes[j] == t else 0.0
+            assignment[f"m_{j}_{t}"] = 1.0 if slot_sizes[j] == t else 0.0
     for t in range(n + 1):
-        assignment[s_name(t)] = float(
+        assignment[f"S_{t}"] = float(
             sum(1 for j in range(1, n + 1) if slot_sizes[j] == t)
         )
     return assignment
@@ -217,6 +212,51 @@ class TestEmission:
         assert "S_4" in text
 
 
+def lp_corpus():
+    """100 seeded models: n 2..16, k 1..3, signed weights under the error
+    policy for even indices and the default weights under the clamp policy
+    for odd ones."""
+    rng = random.Random("lp corpus")
+    for index in range(100):
+        n = rng.randint(2, 16)
+        k = rng.randint(1, min(3, n - 1))
+        g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+        if index % 2:
+            w = default_weights().with_policy(EXTENSION_CLAMP)
+        else:
+            w = WeightVector.from_values(
+                [round(rng.uniform(-2, 2), rng.choice([0, 1, 2]))
+                 for _ in range(n)]
+            )
+        yield g, k, w
+
+
+class TestLpCorpusDigest:
+    """The LP text of every corpus model, hashed into one pinned SHA-256:
+    any change to a name, a coefficient, a sign or a line break changes
+    the digest."""
+
+    DIGEST = (
+        "b2531648bbdfd5f8a0350df4aa47745011b93a194172590304d5d29089213b9f"
+    )
+
+    def test_emitted_text_matches_pinned_digest(self):
+        digest = hashlib.sha256()
+        wrapped_non_unit: set[str] = set()
+        for g, k, w in lp_corpus():
+            text = emit_ilp(g, k, w)
+            digest.update(text.encode())
+            label = ""
+            for line in text.splitlines():
+                if re.match(r"^ \w+:", line):
+                    label = line.split(":", 1)[0].strip()
+                elif line.startswith("  ") and re.search(r"\d\.\d+ \w", line):
+                    wrapped_non_unit.add(label.split("_", 1)[0])
+        # the corpus covers the wrap loop with non-unit coefficients
+        assert {"obj", "sizelink"} <= wrapped_non_unit
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestVerification:
     def test_hand_built_assignment_matches_residual_strength(self):
         g = path_graph(3)
@@ -256,7 +296,7 @@ class TestVerification:
     def test_vertex_assignment_violation_named(self):
         g = path_graph(3)
         assignment = honest_assignment(g, {1})
-        assignment[x_name(1, 2)] = 1.0  # node 1 now sits in two slots
+        assignment["x_1_2"] = 1.0  # node 1 now sits in two slots
         with pytest.raises(ConstraintViolationError, match="vertex-assignment"):
             verify_ilp_solution(g, 1, default_weights(), assignment)
 
@@ -270,8 +310,8 @@ class TestVerification:
         g = path_graph(3)
         assignment = honest_assignment(g, set())
         # split the 0-1 edge across slots with no removal credit
-        assignment[x_name(1, 1)] = 0.0
-        assignment[x_name(1, 2)] = 1.0
+        assignment["x_1_1"] = 0.0
+        assignment["x_1_2"] = 1.0
         with pytest.raises(ConstraintViolationError) as excinfo:
             verify_ilp_solution(g, 1, default_weights(), assignment)
         assert excinfo.value.family in (
@@ -282,41 +322,41 @@ class TestVerification:
         g = path_graph(3)
         w = default_weights()
         broken = honest_assignment(g, {1})
-        broken[m_name(1, 0)] = 0.0
-        broken[m_name(1, 1)] = 0.0
-        broken[m_name(1, 2)] = 0.0
-        broken[m_name(1, 3)] = 0.0
+        broken["m_1_0"] = 0.0
+        broken["m_1_1"] = 0.0
+        broken["m_1_2"] = 0.0
+        broken["m_1_3"] = 0.0
         with pytest.raises(ConstraintViolationError, match="size-indicator"):
             verify_ilp_solution(g, 1, w, broken)
 
         broken = honest_assignment(g, {1})
-        slot_one_size = int(broken[c_name(1)])
-        broken[m_name(1, slot_one_size)] = 0.0
-        broken[m_name(1, (slot_one_size + 1) % 4)] = 1.0
+        slot_one_size = int(broken["C_1"])
+        broken[f"m_1_{slot_one_size}"] = 0.0
+        broken[f"m_1_{(slot_one_size + 1) % 4}"] = 1.0
         with pytest.raises(ConstraintViolationError, match="size-link"):
             verify_ilp_solution(g, 1, w, broken)
 
         broken = honest_assignment(g, {1})
-        broken[s_name(0)] = broken[s_name(0)] + 1
+        broken["S_0"] = broken["S_0"] + 1
         with pytest.raises(ConstraintViolationError, match="size-count"):
             verify_ilp_solution(g, 1, w, broken)
 
         broken = honest_assignment(g, {1})
-        broken[c_name(1)] = 0.5
+        broken["C_1"] = 0.5
         with pytest.raises(ConstraintViolationError, match="integer-domain"):
             verify_ilp_solution(g, 1, w, broken)
 
     def test_binary_domain_violation_named(self):
         g = path_graph(3)
         assignment = honest_assignment(g, {1})
-        assignment[y_name(2)] = 2.0
+        assignment["y_2"] = 2.0
         with pytest.raises(ConstraintViolationError, match="binary-domain"):
             verify_ilp_solution(g, 1, default_weights(), assignment)
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize("name, family", [
-        (x_name(1, 1), "binary-domain"),
-        (c_name(1), "integer-domain"),
+        ("x_1_1", "binary-domain"),
+        ("C_1", "integer-domain"),
     ])
     def test_non_finite_value_violates_its_domain(self, value, name, family):
         g = path_graph(3)
@@ -342,12 +382,12 @@ class TestSolverCrossCheck:
         names = model.binaries + model.generals
         index = {name: pos for pos, name in enumerate(names)}
         objective = np.zeros(len(names))
-        for coefficient, name in model.objective:
+        for coefficient, name in zip(*model.objective):
             objective[index[name]] = coefficient
         rows = list(model.rows)
         matrix = np.zeros((len(rows), len(names)))
         for r, row in enumerate(rows):
-            for coefficient, name in row.terms:
+            for coefficient, name in zip(row.coefficients, row.names):
                 matrix[r, index[name]] = coefficient
         rhs = np.array([float(row.rhs) for row in rows])
         lower = np.where([row.sense == "<=" for row in rows], -np.inf, rhs)
