@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import datasets, evaluation, ilp, metrics, weights
 from .dismantle import DismantleQuery, best_removal
+from .graph import components
 
 logger = logging.getLogger(__name__)
 
@@ -63,12 +64,14 @@ def cmd_strength(args: argparse.Namespace) -> int:
     weight_vector = None
     if "proposed" in selected:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)
-    # every row is computed before any is written: a failure leaves no output
-    values = [metrics.compute_metric(graph, m, weight_vector) for m in selected]
+    # every row is computed, from one BFS, before any is written: a failure
+    # leaves no output
+    sizes = components(graph)
+    raws = [metrics.score(sizes, m, weight_vector) for m in selected]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["metric", "raw", "normalized"])
     writer.writerows(
-        [v.metric_id, repr(v.raw), repr(v.normalized)] for v in values
+        [m, repr(raw), repr(raw / graph.n)] for m, raw in zip(selected, raws)
     )
     return 0
 

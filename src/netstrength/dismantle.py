@@ -1,11 +1,15 @@
 """Exact search for the node removals that weaken a graph the most.
 
 Every candidate removal set is scored exactly, from the residual component
-sizes; there is no heuristic fallback. The sets that share all but their
-last node share one Hopcroft-Tarjan DFS over the input graph without the
-shared nodes: its articulation points tell how each possible last node
-splits its component, so each set then costs O(deg), not a BFS: 2.4-6 us
-on sparse graphs.
+sizes; there is no heuristic fallback. Each removal size is covered by a
+family of prefixes, sets one node short such that every set of the size
+holds one, and each set is priced at exactly one of them. One
+Hopcroft-Tarjan DFS over the input graph without a prefix's nodes tells,
+from its articulation points, how each other node splits its component,
+so a set costs O(deg), not a BFS. Turan's family covers the 4-sets with
+4/9 of the 3-node prefixes and two id halves cover the 3-sets with half
+of the pairs: a 22-node query at k=4 runs 769 DFS, not 1,562. A set then
+costs 1.2-2.3 us on sparse 58-node graphs at k=4.
 The prefix's component sizes and that split fix the residual sizes, so
 one memo keyed by them serves every prefix of a query: prefixes that
 leave the same sizes share their objective values.
@@ -28,15 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, components
-from .metrics import METRIC_IDS, WeightVector, score
+from .metrics import METRIC_IDS, WeightCoverageError, WeightVector, score
 
-# at the 2.4-6 us that one candidate set costs on sparse graphs, the
-# default cap bounds a search at about 3 s; dense graphs cost more per set
-# (12-13 us on the complete graph K58 at k=4, so 5.4-5.8 s)
+# the default cap bounds a search at about 3 s: one candidate set costs
+# 1.2-2.3 us on sparse 58-node graphs at k=4 (0.5-1.1 s), 3.5-4.6 us on a
+# 999-node path at k=2 (1.8-2.3 s) and 4.3-5.6 us on the complete graph
+# K58 at k=4 (2.0-2.6 s)
 DEFAULT_SUBSET_BUDGET = 500_000
 # a query's memo is cleared once it holds more split values than this: a
 # 999-node path at k=2 would otherwise grow it by about 73 MiB
@@ -130,14 +135,50 @@ def _check_budget(q: DismantleQuery) -> None:
         )
 
 
+# Turan's (4, 3) construction: per-block counts over three id blocks such
+# that every 4-set holds a 3-set with one of them
+_TURAN = ((3, 0, 0), (2, 1, 0), (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 0, 3))
+
+
+def _plan(n: int, r: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each family prefix of ``r`` nodes with the last nodes it prices, in
+    ascending order: every (r+1)-subset of ``range(n)`` comes once.
+
+    A prefix is in the family when its node counts over contiguous id
+    blocks form a pattern. Set S is priced at S - x for the largest x that
+    leaves a family prefix, so P prices no c below a node of P it can swap
+    with inside the family: c's block is skipped, or taken after P's last
+    node in it. Patterns heavy in low blocks come first.
+    """
+    # one block for r <= 1; else two halves with an even upper count or
+    # all r nodes upper, except Turan's three blocks for r = 3
+    patterns = ((r,),) if r <= 1 else _TURAN if r == 3 else tuple(
+        (r - b, b) for b in range(r + 1) if b % 2 == 0 or b == r)
+    q = len(patterns[0])
+    blocks = [range(n * b // q, n * (b + 1) // q) for b in range(q)]
+    for pattern in patterns:
+        taken = [j for j in range(q) if not any(
+            pattern[i] and tuple(count - (b == i) + (b == j)
+                                 for b, count in enumerate(pattern)) in patterns
+            for i in range(j + 1, q))]
+        for parts in product(*map(combinations, blocks, pattern)):
+            candidates: list[int] = []
+            for j in taken:
+                candidates += (range(parts[j][-1] + 1, blocks[j].stop)
+                               if parts[j] else blocks[j])
+            if candidates:
+                yield sum(parts, ()), candidates
+
+
 def best_removal(q: DismantleQuery) -> DismantleResult:
     """Exhaustively find the optimal removal set for any objective.
 
-    Sets come in ``combinations`` order. Sets that share all but their last
-    node share one Hopcroft-Tarjan DFS; deleting a last node ``c`` cuts off
-    the DFS subtrees of its children ``d`` with ``low(d) >= disc(c)``.
-    ``memo`` maps a prefix's component sizes, then a split, to ``sign``
-    times its value; a split that raises is not kept.
+    Each size walks the prefixes of ``_plan``, one Hopcroft-Tarjan DFS
+    each; deleting a last node ``c`` cuts off the DFS subtrees of its
+    children ``d`` with ``low(d) >= disc(c)``. ``memo`` maps a prefix's
+    component sizes, then a split, to ``sign`` times its value; a split
+    that raises is not kept. Sets come out of order, so the winner and the
+    first raising set are the smallest sorted ones of their size.
     """
     _check_budget(q)
     n, adjacency = q.graph.n, q.graph.adjacency
@@ -147,15 +188,19 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
     ties = 0
     memo: dict[tuple[int, ...], dict] = {}
     entries = 0
-    # sizes ascend and combinations() yields each size in lexicographic
-    # order, so the first set to reach the optimum is the tie-break winner
+    raising: tuple[tuple[int, ...], WeightCoverageError] | None = None
     for size in _candidate_sizes(q.k, q.allow_fewer):
         if size == 0:
             best = sign * _objective_value(components(q.graph), q.objective,
                                            q.weights)
             ties = 1
             continue
-        for prefix in combinations(range(n - 1), size - 1):
+        for prefix, candidates in _plan(n, size - 1):
+            if raising:  # only a smaller set can be the first to raise
+                candidates = [c for c in candidates
+                              if tuple(sorted(prefix + (c,))) < raising[0]]
+                if not candidates:
+                    continue
             # a removed node is "found" at n + 1: never entered, never a
             # low-point
             disc = [0] * n
@@ -204,7 +249,9 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
                 memo.clear()
                 entries = 0
             split_values = memo.setdefault(tuple(comp_sizes), {})
-            for c in range(prefix[-1] + 1 if prefix else 0, n):
+            # only a prefix's first tie can be a smaller set of this size
+            tied = len(best_set) < size
+            for c in candidates:
                 index = comp_of[c]
                 cut = pieces.get(c)
                 split = (comp_sizes[index], *cut) if cut else comp_sizes[index]
@@ -214,13 +261,24 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
                     rest = comp_sizes[index] - 1 - sum(cut)
                     sizes = (comp_sizes[:index] + comp_sizes[index + 1:] + cut
                              + ([rest] if rest else []))
-                    value = split_values[split] = sign * _objective_value(
-                        sizes, q.objective, q.weights)
+                    try:
+                        value = split_values[split] = sign * _objective_value(
+                            sizes, q.objective, q.weights)
+                    except WeightCoverageError as error:
+                        # the later candidates of a prefix make larger sets
+                        raising = tuple(sorted(prefix + (c,))), error
+                        break
                     entries += 1
                 if value < best or not ties:
-                    best_set, best, ties = prefix + (c,), value, 1
+                    best_set = tuple(sorted(prefix + (c,)))
+                    best, ties, tied = value, 1, True
                 elif value == best:
                     ties += 1
+                    if not tied:
+                        tied = True
+                        best_set = min(best_set, tuple(sorted(prefix + (c,))))
+        if raising:
+            raise raising[1]
     return DismantleResult(
         removed=best_set,
         labels=tuple(q.graph.label(u) for u in best_set),

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import netstrength
 from conftest import disjoint_paths, path_graph
+from netstrength import cli, metrics
 from netstrength.cli import main
 from netstrength.datasets import bundled_eval_path, save_edge_list
-from netstrength.graph import Graph
+from netstrength.graph import Graph, components
 from netstrength.metrics import WeightVector, sigma
 
 
@@ -88,6 +89,33 @@ class TestStrength:
         by_metric = {row["metric"]: row for row in parse_csv(out)}
         assert set(by_metric) == {"proposed", "cole1", "cole2", "gfp"}
         assert float(by_metric["cole2"]["raw"]) == 1.0
+
+    def test_all_metrics_share_one_bfs(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "g.edges"
+        save_edge_list(path_graph(5), target)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return components(*args)
+
+        monkeypatch.setattr(cli, "components", counted, raising=False)
+        monkeypatch.setattr(metrics, "components", counted)
+        code, out, _ = run_cli(
+            capsys, "strength", str(target), "--all-metrics"
+        )
+        assert code == 0
+        assert len(parse_csv(out)) == 4
+        assert len(calls) == 1
+
+    def test_empty_graph_writes_no_rows(self, capsys, tmp_path):
+        target = tmp_path / "empty.edges"
+        save_edge_list(Graph.build(0), target)
+        code, out, err = run_cli(
+            capsys, "strength", str(target), "--all-metrics"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: strength is undefined for an empty graph\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run_cli(

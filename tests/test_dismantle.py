@@ -402,6 +402,31 @@ class TestArticulationKernel:
             assert str(info.value) == expected
         assert raised >= 20
 
+    @pytest.mark.parametrize("n, k, cover, edges", [
+        (8, 4, 1, [(0, 3), (0, 6), (0, 7), (1, 2), (1, 4), (1, 5), (1, 6)]),
+        (8, 4, 2, [(0, 5), (0, 7), (3, 5), (6, 7)]),
+        (8, 3, 3, [(0, 4), (0, 5), (0, 6), (1, 2), (2, 3), (3, 6), (5, 7)]),
+    ])
+    def test_error_comes_from_the_smallest_raising_set(self, n, k, cover,
+                                                       edges):
+        # found by a random search: the prefix plan meets a raising set
+        # that leaves another uncovered size before the smallest one
+        g = Graph.build(n, edges)
+        w = WeightVector.from_values([1.0] * cover)
+        errors = []
+        for subset in combinations(range(n), k):
+            try:
+                evaluate_removal(g, subset, "proposed", w)
+            except WeightCoverageError as error:
+                errors.append(str(error))
+        assert len(set(errors)) > 1
+        with pytest.raises(WeightCoverageError) as info:
+            best_removal(DismantleQuery(
+                graph=g, k=k, objective="proposed", weights=w,
+                allow_fewer=False,
+            ))
+        assert str(info.value) == errors[0]
+
     @pytest.mark.parametrize("limit", [0, 1])
     def test_memo_bound_keeps_answers(self, monkeypatch, limit):
         # 0 clears the query memo before a prefix once it holds a value,
@@ -457,6 +482,46 @@ class TestArticulationKernel:
         ))
         assert result == oracle_best_removal(g, 4, "proposed", default_weights())
         assert objective_calls[0] <= 45
+
+
+class TestPrefixPlan:
+    """The prefix families alone, with no graph: each size is covered by
+    the prefixes of ``_plan``, and each set is priced at exactly one."""
+
+    def test_prices_every_set_once(self):
+        for n in range(1, 17):
+            for r in range(min(5, n - 1) + 1):
+                priced = []
+                for prefix, candidates in dismantle._plan(n, r):
+                    # ascending candidates make ascending sets per prefix
+                    assert list(prefix) == sorted(set(prefix))
+                    assert candidates == sorted(set(candidates))
+                    priced += [tuple(sorted(prefix + (c,))) for c in candidates]
+                assert sorted(priced) == list(combinations(range(n), r + 1)), (
+                    n, r)
+
+    @pytest.mark.parametrize("n, r, prefixes", [
+        (22, 3, 637), (22, 2, 110), (25, 2, 144), (58, 3, 13_357),
+        (2, 1, 1), (22, 1, 21), (58, 1, 57),
+    ])
+    def test_prefix_counts(self, n, r, prefixes):
+        assert sum(1 for _ in dismantle._plan(n, r)) == prefixes
+
+    def test_one_dfs_per_plan_prefix(self, monkeypatch):
+        # sizes 1..4 on 22 nodes: 1 + 21 + 110 + 637 prefixes, against
+        # 1 + 21 + 210 + 1,330 for every prefix below the last node
+        yielded = [0]
+        plan = dismantle._plan
+
+        def counted(n, r):
+            for item in plan(n, r):
+                yielded[0] += 1
+                yield item
+
+        monkeypatch.setattr(dismantle, "_plan", counted)
+        g = random_graph(random.Random(22), 22, 0.15)
+        best_removal(DismantleQuery(graph=g, k=4, objective="cole2"))
+        assert yielded[0] == 769
 
 
 class TestStructuralProperties:
@@ -518,14 +583,16 @@ class TestStructuralProperties:
             assert ties == reference.ties
 
 
-def digest_queries():
-    """300 seeded queries: n 2..13, k <= 4, every objective, both
-    ``allow_fewer`` values, and for ``proposed`` short signed weights
-    under the clamp or the error policy, so some queries raise."""
-    rng = random.Random("answer digest")
-    for index in range(300):
-        n = rng.randint(2, 13)
-        k = rng.randint(1, min(4, n - 1))
+def digest_queries(seed="answer digest", count=300, sizes=(2, 13),
+                   budgets=(1, 4)):
+    """``count`` seeded queries: n and k drawn from ``sizes`` and
+    ``budgets`` (k < n), every objective, both ``allow_fewer`` values, and
+    for ``proposed`` short signed weights under the clamp or the error
+    policy, so some queries raise."""
+    rng = random.Random(seed)
+    for index in range(count):
+        n = rng.randint(*sizes)
+        k = rng.randint(budgets[0], min(budgets[1], n - 1))
         objective = OBJECTIVES[index % 4]
         g = random_graph(rng, n, rng.uniform(0.05, 0.7))
         w = None
@@ -554,4 +621,26 @@ class TestAnswerDigest:
             except WeightCoverageError as error:
                 line = f"error {error}"
             digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestWideAnswerDigest:
+    """The same digest over 150 queries at k = 5..6, where the search
+    covers the sizes past 4 with the two-block prefix family."""
+
+    DIGEST = "b4347e4c0b76e241ad7201a8672523f234cea5ac6acfb0f741cdb50e3342935b"
+
+    def test_answers_match_pinned_digest(self):
+        digest = hashlib.sha256()
+        raised = 0
+        for query in digest_queries("wide answer digest", 150, (7, 12),
+                                    (5, 6)):
+            try:
+                result = best_removal(query)
+                line = f"{result.removed} {result.residual_value!r} {result.ties}"
+            except WeightCoverageError as error:
+                line = f"error {error}"
+                raised += 1
+            digest.update(line.encode() + b"\n")
+        assert raised >= 10
         assert digest.hexdigest() == self.DIGEST
