@@ -36,6 +36,8 @@ def _metric_list(value: str) -> list[str]:
                 f"unknown metric {name!r}; choose from "
                 f"{', '.join(metrics.METRIC_IDS)}"
             )
+        if names.count(name) > 1:
+            raise argparse.ArgumentTypeError(f"metric {name!r} given twice")
     if not names:
         raise argparse.ArgumentTypeError("empty metric list")
     return names
@@ -195,6 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    weighted = argparse.ArgumentParser(add_help=False)
+    weighted.add_argument("--weights", default="default",
+                          help="weight CSV path or 'default'")
+    weighted.add_argument("--clamp-weights", action="store_true",
+                          help="reuse the last weight beyond its length")
 
     gen = sub.add_parser("gen", help="generate seeded random graph suites")
     gen.add_argument("--model", choices=(datasets.GNP, datasets.GNM),
@@ -208,16 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--stem", default="graph")
     gen.set_defaults(func=cmd_gen)
 
-    strength = sub.add_parser("strength", help="score one graph")
+    strength = sub.add_parser("strength", help="score one graph",
+                              parents=[weighted])
     strength.add_argument("graph", help="edge-list file")
-    strength.add_argument("--weights", default="default",
-                          help="weight CSV path or 'default'")
     strength.add_argument("--metrics", type=_metric_list,
                           default=["proposed"],
                           help="comma-separated metric ids")
     strength.add_argument("--all-metrics", action="store_true")
-    strength.add_argument("--clamp-weights", action="store_true",
-                          help="reuse the last weight beyond its length")
     strength.set_defaults(func=cmd_strength)
 
     fit = sub.add_parser("fit-weights",
@@ -232,13 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--report", help="JSON-lines fit report path")
     fit.set_defaults(func=cmd_fit_weights)
 
-    dis = sub.add_parser("dismantle", help="find the best removal set")
+    dis = sub.add_parser("dismantle", help="find the best removal set",
+                         parents=[weighted])
     dis.add_argument("graph", help="edge-list file")
     dis.add_argument("--k", type=int, required=True, help="removal budget")
     dis.add_argument("--objective", choices=metrics.METRIC_IDS,
                      default="proposed")
-    dis.add_argument("--weights", default="default")
-    dis.add_argument("--clamp-weights", action="store_true")
     dis.add_argument("--exact-size", action="store_true",
                      help="require exactly k removals instead of at most k")
     dis.add_argument("--budget", type=int,
@@ -261,13 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     cmp_parser = sub.add_parser(
-        "compare", help="normalized metric-vs-truth table with RMSE rows"
+        "compare", help="normalized metric-vs-truth table with RMSE rows",
+        parents=[weighted],
     )
     cmp_parser.add_argument("--graphs", required=True)
     cmp_parser.add_argument("--gt", required=True,
                             help="CSV: graph_id,mean_estimate")
-    cmp_parser.add_argument("--weights", default="default")
-    cmp_parser.add_argument("--clamp-weights", action="store_true")
     cmp_parser.add_argument("--metrics", type=_metric_list,
                             default=list(metrics.METRIC_IDS))
     cmp_parser.add_argument("--out", help="output CSV path")

@@ -3,13 +3,13 @@
 Every candidate removal set is scored exactly, from the residual component
 sizes; there is no heuristic fallback. Each removal size is covered by a
 family of prefixes, sets one node short such that every set of the size
-holds one, and each set is priced at exactly one of them. One
-Hopcroft-Tarjan DFS over the input graph without a prefix's nodes tells,
-from its articulation points, how each other node splits its component,
-so a set costs O(deg), not a BFS. Turan's family covers the 4-sets with
-4/9 of the 3-node prefixes and two id halves cover the 3-sets with half
-of the pairs: a 22-node query at k=4 runs 769 DFS, not 1,562. A set then
-costs 1.2-2.3 us on sparse 58-node graphs at k=4.
+holds one, and each set is priced at exactly one of them. One DFS of the
+input graph without a prefix's nodes, ``graph._split``, tells how each
+other node splits its component, so a set costs O(deg), not a traversal.
+Turan's family covers the 4-sets with 4/9 of the 3-node prefixes and two
+id halves cover the 3-sets with half of the pairs: a 22-node query at
+k=4 runs 769 DFS, not 1,562. A set then costs 1.2-2.3 us on sparse
+58-node graphs at k=4.
 The prefix's component sizes and that split fix the residual sizes, so
 one memo keyed by them serves every prefix of a query: prefixes that
 leave the same sizes share their objective values.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, components
+from .graph import Graph, _split, components
 from .metrics import METRIC_IDS, WeightCoverageError, WeightVector, score
 
 # the default cap bounds a search at about 3 s: one candidate set costs
@@ -150,9 +150,13 @@ def _plan(n: int, r: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     with inside the family: c's block is skipped, or taken after P's last
     node in it. Patterns heavy in low blocks come first.
     """
-    # one block for r <= 1; else two halves with an even upper count or
-    # all r nodes upper, except Turan's three blocks for r = 3
-    patterns = ((r,),) if r <= 1 else _TURAN if r == 3 else tuple(
+    if r <= 1:  # every prefix, priced by the nodes above its last
+        for last in range(n - 1) if r else (-1,):
+            yield (last,)[:r], list(range(last + 1, n))
+        return
+    # two halves with an even upper count or all r nodes upper, except
+    # Turan's three blocks for r = 3
+    patterns = _TURAN if r == 3 else tuple(
         (r - b, b) for b in range(r + 1) if b % 2 == 0 or b == r)
     q = len(patterns[0])
     blocks = [range(n * b // q, n * (b + 1) // q) for b in range(q)]
@@ -173,15 +177,14 @@ def _plan(n: int, r: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
 def best_removal(q: DismantleQuery) -> DismantleResult:
     """Exhaustively find the optimal removal set for any objective.
 
-    Each size walks the prefixes of ``_plan``, one Hopcroft-Tarjan DFS
-    each; deleting a last node ``c`` cuts off the DFS subtrees of its
-    children ``d`` with ``low(d) >= disc(c)``. ``memo`` maps a prefix's
-    component sizes, then a split, to ``sign`` times its value; a split
-    that raises is not kept. Sets come out of order, so the winner and the
-    first raising set are the smallest sorted ones of their size.
+    Each size walks the prefixes of ``_plan``, one ``_split`` each, which
+    splits the component of every last node ``c``; size 1's empty prefix
+    also prices the empty set. ``memo`` maps a prefix's component sizes,
+    then a split, to ``sign`` times its value; a split that raises is not
+    kept. Sets come out of order, so the winner and the first raising set
+    are the smallest sorted ones of their size.
     """
     _check_budget(q)
-    n, adjacency = q.graph.n, q.graph.adjacency
     sign = -1.0 if q.objective in _MAXIMIZED else 1.0
     best_set: tuple[int, ...] = ()
     best = 0.0
@@ -189,59 +192,17 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
     memo: dict[tuple[int, ...], dict] = {}
     entries = 0
     raising: tuple[tuple[int, ...], WeightCoverageError] | None = None
-    for size in _candidate_sizes(q.k, q.allow_fewer):
-        if size == 0:
-            best = sign * _objective_value(components(q.graph), q.objective,
-                                           q.weights)
-            ties = 1
-            continue
-        for prefix, candidates in _plan(n, size - 1):
+    for size in filter(None, _candidate_sizes(q.k, q.allow_fewer)):
+        for prefix, candidates in _plan(q.graph.n, size - 1):
             if raising:  # only a smaller set can be the first to raise
                 candidates = [c for c in candidates
                               if tuple(sorted(prefix + (c,))) < raising[0]]
                 if not candidates:
                     continue
-            # a removed node is "found" at n + 1: never entered, never a
-            # low-point
-            disc = [0] * n
-            for node in prefix:
-                disc[node] = n + 1
-            comp_of = [0] * n
-            comp_sizes: list[int] = []
-            pieces: dict[int, list[int]] = {}
-            time = 0
-            for root in range(n):
-                if disc[root]:
-                    continue
-                index = len(comp_sizes)
-                time += 1
-                first = disc[root] = time
-                comp_of[root] = index
-                stack = []
-                v, neighbors, low = root, iter(adjacency[root]), time
-                while True:
-                    for w in neighbors:
-                        d = disc[w]
-                        if not d:
-                            time += 1
-                            disc[w] = time
-                            comp_of[w] = index
-                            stack.append((v, neighbors, low))
-                            v, neighbors, low = w, iter(adjacency[w]), time
-                            break
-                        if d < low:
-                            low = d
-                    else:
-                        if not stack:
-                            break
-                        child, child_low = v, low
-                        v, neighbors, low = stack.pop()
-                        # preorder times: the subtree is all found since child
-                        if child_low >= disc[v]:
-                            pieces.setdefault(v, []).append(time - disc[child] + 1)
-                        elif child_low < low:
-                            low = child_low
-                comp_sizes.append(time - first + 1)
+            comp_sizes, comp_of, pieces = _split(q.graph, prefix)
+            if q.allow_fewer and not prefix:  # the empty set, priced first
+                best, ties = sign * _objective_value(
+                    comp_sizes, q.objective, q.weights), 1
             # the residual is every other component plus the pieces of c's
             # own one, so the component sizes, that one's size and the
             # pieces fix the value; an uncut split is keyed by the bare size

@@ -55,6 +55,8 @@ class RankedGroundTruth:
         if self.vote_shares is not None:
             if len(self.vote_shares) != len(self.candidates):
                 raise ValueError("one vote share per candidate required")
+            if any(share < 0 for share in self.vote_shares):
+                raise ValueError("vote shares must be non-negative")
             if sum(self.vote_shares) > 100 + 1e-9:
                 raise ValueError("vote shares must sum to at most 100")
 
@@ -267,6 +269,9 @@ def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
         share = None
         if (row.get("vote_share") or "").strip():
             share = parse_cell(path, line_no, row, "vote_share")
+            if share < 0:
+                raise ValueError(f"{path}:{line_no}: vote_share must be "
+                                 f"non-negative, got {row['vote_share']!r}")
         candidates.setdefault(row["graph_id"], []).append((
             parse_cell(path, line_no, row, "rank", int),
             _members(path, line_no, row["members"]),
@@ -274,24 +279,23 @@ def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
         ))
     result = {}
     for graph_id, entries in candidates.items():
+        where = f"{path}: graph {graph_id!r}"
         entries.sort(key=lambda e: e[0])
         ranks = [rank for rank, _, _ in entries]
         if ranks != list(range(1, len(entries) + 1)):
             raise ValueError(
-                f"{path}: ranks for graph {graph_id!r} must be contiguous "
-                f"from 1, got {ranks}"
-            )
+                f"{where}: ranks must be contiguous from 1, got {ranks}")
         shares = [share for _, _, share in entries]
         with_shares = [s for s in shares if s is not None]
         if with_shares and len(with_shares) != len(shares):
-            raise ValueError(
-                f"{path}: graph {graph_id!r} mixes present and missing "
-                f"vote shares"
+            raise ValueError(f"{where} mixes present and missing vote shares")
+        try:
+            result[graph_id] = RankedGroundTruth(
+                candidates=tuple(members for _, members, _ in entries),
+                vote_shares=tuple(with_shares) if with_shares else None,
             )
-        result[graph_id] = RankedGroundTruth(
-            candidates=tuple(members for _, members, _ in entries),
-            vote_shares=tuple(with_shares) if with_shares else None,
-        )
+        except ValueError as error:
+            raise ValueError(f"{where}: {error}") from None
     return result
 
 

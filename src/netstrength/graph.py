@@ -1,4 +1,4 @@
-"""Immutable undirected graphs and their connected-component sizes.
+"""Immutable undirected graphs and their component sizes, from one DFS.
 
 Nodes are contiguous 0-based integer ids. Dataset-native node names are kept
 in an optional label tuple so reported answers can use the original naming.
@@ -7,7 +7,6 @@ All values are frozen after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -84,35 +83,66 @@ class Graph:
 
 
 def components(g: Graph, removed: Iterable[int] = ()) -> tuple[int, ...]:
-    """Component sizes of ``g`` without the nodes in ``removed``, via BFS.
+    """Component sizes of ``g`` without ``removed``, from ``_split``.
 
     Sizes come in discovery order, that is, ascending smallest node id, so
     they are a pure function of the graph and the removed nodes. They equal
     ``components(remove_nodes(g, removed))`` with no residual graph built.
     An id outside ``0..n-1`` raises ``ValueError``.
     """
-    # pre-marking the removed nodes as seen keeps the BFS out of them
-    # without a membership test per neighbor
-    seen = [False] * g.n
-    for node in _check_node_ids(g, removed):
-        seen[node] = True
+    return tuple(_split(g, _check_node_ids(g, removed))[0])
+
+
+def _split(
+    g: Graph, removed: Iterable[int]
+) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """One Hopcroft-Tarjan DFS of ``g`` without ``removed`` (valid ids),
+    roots ascending: the component sizes in discovery order, each node's
+    index into them, and per node ``c`` the sizes of the pieces deleting it
+    cuts off, the subtrees of its children ``d`` with ``low(d) >= disc(c)``;
+    the rest of c's component stays one piece."""
+    n, adjacency = g.n, g.adjacency
+    # a removed node is "found" at n + 1: never entered, never a low-point
+    disc = [0] * n
+    for node in removed:
+        disc[node] = n + 1
+    comp_of = [0] * n
     sizes: list[int] = []
-    adjacency = g.adjacency
-    for start in range(g.n):
-        if seen[start]:
+    pieces: dict[int, list[int]] = {}
+    time = 0
+    for root in range(n):
+        if disc[root]:
             continue
-        seen[start] = True
-        queue = deque([start])
-        size = 0
-        while queue:
-            node = queue.popleft()
-            size += 1
-            for neighbor in adjacency[node]:
-                if not seen[neighbor]:
-                    seen[neighbor] = True
-                    queue.append(neighbor)
-        sizes.append(size)
-    return tuple(sizes)
+        index = len(sizes)
+        time += 1
+        first = disc[root] = time
+        comp_of[root] = index
+        stack = []
+        v, neighbors, low = root, iter(adjacency[root]), time
+        while True:
+            for w in neighbors:
+                d = disc[w]
+                if not d:
+                    time += 1
+                    disc[w] = time
+                    comp_of[w] = index
+                    stack.append((v, neighbors, low))
+                    v, neighbors, low = w, iter(adjacency[w]), time
+                    break
+                if d < low:
+                    low = d
+            else:
+                if not stack:
+                    break
+                child, child_low = v, low
+                v, neighbors, low = stack.pop()
+                # preorder times: the subtree is all found since child
+                if child_low >= disc[v]:
+                    pieces.setdefault(v, []).append(time - disc[child] + 1)
+                elif child_low < low:
+                    low = child_low
+        sizes.append(time - first + 1)
+    return sizes, comp_of, pieces
 
 
 def remove_nodes(g: Graph, removed: Iterable[int]) -> Graph:

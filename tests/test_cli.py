@@ -177,6 +177,14 @@ class TestStrength:
         assert excinfo.value.code == 2
         assert "unknown metric" in capsys.readouterr().err
 
+    def test_repeated_metric_rejected_by_parser(self, capsys, tmp_path):
+        target = tmp_path / "g.edges"
+        save_edge_list(path_graph(3), target)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["strength", str(target), "--metrics", "cole2,cole2"])
+        assert excinfo.value.code == 2
+        assert "metric 'cole2' given twice" in capsys.readouterr().err
+
 
 class TestFitWeights:
     def write_suite(self, tmp_path):
@@ -532,6 +540,18 @@ class TestCompare:
         )
         assert code == 1
         assert "missing" in err
+
+    def test_repeated_metric_rejected_by_parser(self, capsys, tmp_path):
+        graph_dir = tmp_path / "graphs"
+        graph_dir.mkdir()
+        save_edge_list(path_graph(3), graph_dir / "s.edges")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("graph_id,mean_estimate\ns,2.0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--graphs", str(graph_dir), "--gt", str(gt),
+                  "--metrics", "cole2,cole2"])
+        assert excinfo.value.code == 2
+        assert "metric 'cole2' given twice" in capsys.readouterr().err
 
 
 class TestGraphDirectory:

@@ -14,7 +14,7 @@ from conftest import (
     random_tree,
     star_graph,
 )
-from netstrength import dismantle
+from netstrength import dismantle, graph
 from netstrength.dismantle import (
     DismantleQuery,
     DismantleResult,
@@ -22,7 +22,7 @@ from netstrength.dismantle import (
     best_removal,
     evaluate_removal,
 )
-from netstrength.graph import EmptyGraphError, Graph
+from netstrength.graph import EmptyGraphError, Graph, _split
 from netstrength.metrics import (
     EXTENSION_CLAMP,
     EXTENSION_ERROR,
@@ -522,6 +522,71 @@ class TestPrefixPlan:
         g = random_graph(random.Random(22), 22, 0.15)
         best_removal(DismantleQuery(graph=g, k=4, objective="cole2"))
         assert yielded[0] == 769
+
+
+class TestSplit:
+    """``graph._split``, the package's one traversal, against the
+    from-scratch ``residual_sizes``."""
+
+    @staticmethod
+    def assert_splits(g, removed):
+        sizes, comp_of, pieces = _split(g, removed)
+        assert sizes == residual_sizes(g, removed), (g, removed)
+        alive = [u for u in range(g.n) if u not in removed]
+        assert [sum(comp_of[u] == index for u in alive)
+                for index in range(len(sizes))] == sizes
+        for u, v in g.edges:
+            if u in alive and v in alive:
+                assert comp_of[u] == comp_of[v]
+        # every other component, c's pieces and the rest of its own one
+        # are the residual of removed + (c,)
+        for c in alive:
+            index = comp_of[c]
+            cut = pieces.get(c, [])
+            rest = sizes[index] - 1 - sum(cut)
+            assert rest >= 0 and all(cut)
+            split = (sizes[:index] + sizes[index + 1:] + cut
+                     + ([rest] if rest else []))
+            assert Counter(split) == Counter(
+                residual_sizes(g, removed + (c,))), (g, removed, c)
+
+    def test_random_graphs(self):
+        rng = random.Random("one traversal")
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.6))
+            for size in range(min(3, n - 1) + 1):
+                self.assert_splits(
+                    g, tuple(sorted(rng.sample(range(n), size))))
+
+    @pytest.mark.parametrize("family", TIE_HEAVY_FAMILIES,
+                             ids=["empty", "complete", "star", "path",
+                                  "cycle", "cliques"])
+    def test_tie_heavy_families(self, family):
+        for size in range(3):
+            for removed in combinations(range(family.n), size):
+                self.assert_splits(family, removed)
+
+    def test_k1_query_traverses_once(self, monkeypatch):
+        # the empty set is priced from size 1's empty prefix, so the
+        # input graph is traversed once, and never by components
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(dismantle, "_split", counted("split", _split))
+        for module in (dismantle, graph):
+            monkeypatch.setattr(module, "components",
+                                counted("components", graph.components))
+        best_removal(DismantleQuery(
+            graph=path_graph(6), k=1, objective="proposed",
+            weights=default_weights(), allow_fewer=True,
+        ))
+        assert calls == {"split": 1}
 
 
 class TestStructuralProperties:

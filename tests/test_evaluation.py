@@ -87,6 +87,13 @@ class TestRankedGroundTruth:
                 candidates=(frozenset({"1"}),), vote_shares=(140.0,)
             )
 
+    def test_negative_vote_share_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RankedGroundTruth(
+                candidates=(frozenset({"a"}), frozenset({"b"})),
+                vote_shares=(150.0, -60.0),
+            )
+
 
 class TestMatchStats:
     @pytest.mark.parametrize("metric", sorted(SINGLE_NODE_EXPECTED))
@@ -272,6 +279,30 @@ class TestLoaders:
         gt = load_ranked_gt_csv(path)
         assert gt["g"].vote_shares == (55.5, 20.0)
         assert gt["g"].candidates[0] == frozenset({"1", "2"})
+
+    def test_ranked_gt_rejects_negative_share_at_its_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text(
+            "graph_id,rank,members,vote_share\ng1,1,a,150\ng1,2,b,-60\n"
+        )
+        with pytest.raises(ValueError) as info:
+            load_ranked_gt_csv(path)
+        assert str(info.value) == (
+            f"{path}:3: vote_share must be non-negative, got '-60'"
+        )
+
+    @pytest.mark.parametrize("rows, message", [
+        ("g1,1,a,80\ng1,2,b,40\n", "vote shares must sum to at most 100"),
+        ("g1,1,a;b,\ng1,2,b;a,\n",
+         "candidates must be distinct as unordered sets"),
+    ], ids=["share-sum", "repeated-candidate"])
+    def test_ranked_gt_errors_name_file_and_graph(self, tmp_path, rows,
+                                                  message):
+        path = tmp_path / "gt.csv"
+        path.write_text("graph_id,rank,members,vote_share\n" + rows)
+        with pytest.raises(ValueError) as info:
+            load_ranked_gt_csv(path)
+        assert str(info.value) == f"{path}: graph 'g1': {message}"
 
     def test_predictions_duplicate_rejected(self, tmp_path):
         path = tmp_path / "pred.csv"
