@@ -98,9 +98,10 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
     elif args.out_weights:
         sys.stdout.write(report_line + "\n")
     logger.info(
-        "fit %d weights from %d graphs (residual %.6g, rank %d)",
-        system.size_limit, len(system.graph_ids),
-        result.residual_norm, result.rank,
+        "fit %d weights from %d graphs (residual %.6g, rank %d); %d size(s) "
+        "absent from every surveyed graph got weight 0", system.size_limit,
+        len(system.graph_ids), result.residual_norm, result.rank,
+        system.size_limit - system.matrix.any(axis=0).sum(),
     )
     return 0
 
@@ -118,13 +119,17 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
         allow_fewer=not args.exact_size,
         max_subsets=args.budget,
     )
+    if args.emit_lp and not (args.clamp_weights
+                             or len(weight_vector) >= graph.n):
+        raise ValueError(f"--emit-lp needs weights for sizes 1..{graph.n}, "
+                         f"got {len(weight_vector)}; pass --clamp-weights")
     result = best_removal(query)
     # the model is written only after the search succeeds: a refused or
     # failed run leaves no file behind
     if args.emit_lp:
-        Path(args.emit_lp).write_text(
-            ilp.emit_ilp(graph, args.k, weight_vector), encoding="utf-8"
-        )
+        chunks = ilp.render_ilp(graph, args.k, weight_vector)
+        with open(args.emit_lp, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
         logger.info("wrote model to %s", args.emit_lp)
     _write_or_print(
         json.dumps(result.to_json_dict(), sort_keys=True) + "\n", args.out

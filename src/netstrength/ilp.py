@@ -24,14 +24,17 @@ All indices in variable names are 1-based except the size subscript ``t``,
 which ranges from 0 (empty slot) to n.
 
 :func:`build_model` is the one description of the model: its objective,
-its constraint rows and its variable domains. The LP writer
-(:func:`emit_ilp`) and the verifier (:func:`verify_ilp_solution`) only read
-it.
+its variable domains and its rows, in groups stored by column. The writer
+(:func:`render_ilp`) formats each group from one template per pattern; it
+and the verifier (:func:`verify_ilp_solution`) only read the model.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain, cycle
+from operator import add, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import Graph
@@ -61,31 +64,32 @@ class ConstraintViolationError(ValueError):
         self.family = family
 
 
-Coefficients = tuple[float, ...]
+Pattern = NamedTuple("Pattern", [("coefficients", tuple[float, ...]),
+                                 ("sense", str), ("rhs", int)])
 
 
-class Row(NamedTuple):
-    """One linear constraint ``sum(coefficients * names) <sense> rhs``; the
-    rows of one pattern share one ``coefficients`` tuple."""
+class Group(NamedTuple):
+    """Rows of one family, by column: row r is ``sum(coefficients * names)
+    <sense> rhs`` (sense ``<=``, ``>=`` or ``=``) under the pattern
+    ``patterns[r % len(patterns)]``, labeled ``labels[r]``, and its names
+    are the r-th entries of ``columns``."""
 
     family: str
-    label: str
-    coefficients: Coefficients
-    names: Sequence[str]
-    sense: str  # "<=", ">=" or "="
-    rhs: int
+    patterns: tuple[Pattern, ...]
+    labels: Sequence[str]
+    columns: Sequence[Sequence[str]]
+
+    def rows(self) -> Iterator[tuple[Pattern, str, tuple[str, ...]]]:
+        return zip(cycle(self.patterns), self.labels, zip(*self.columns))
 
 
 class Model(NamedTuple):
-    """The model for one graph, budget and weight vector.
+    """The model for one graph, budget and weight vector: ``objective`` is
+    a ``(coefficients, names)`` pair, ``groups`` a one-shot generator in
+    emission order; ``binaries`` are 0/1, ``generals`` in ``0..upper``."""
 
-    ``objective`` is a ``(coefficients, names)`` pair. ``rows`` is a
-    one-shot generator in emission order. ``binaries`` are 0/1 variables;
-    ``generals`` are integers in ``0..upper``.
-    """
-
-    objective: tuple[Coefficients, list[str]]
-    rows: Iterator[Row]
+    objective: tuple[tuple[float, ...], list[str]]
+    groups: Iterator[Group]
     binaries: list[str]
     generals: list[str]
     upper: int
@@ -93,6 +97,10 @@ class Model(NamedTuple):
 
 def build_model(g: Graph, k: int, w: WeightVector) -> Model:
     """Describe the model for ``g`` with removal budget ``k``.
+
+    Each edge gives one group, whose up and lo rows alternate slot by slot;
+    each other family is one group, whose columns are the names already
+    formatted, transposed where a row reads across them.
 
     Requires weights for every size 1..n (clamp policy permitted).
     """
@@ -111,104 +119,113 @@ def build_model(g: Graph, k: int, w: WeightVector) -> Model:
     ones, all_ones = (1.0,) * n, (1.0,) * (n + 1)
     total = (1.0,) + (-1.0,) * n
     link = (1.0,) + tuple(-float(t) for t in slots)
-    up, lo = (1.0, -1.0, -1.0, -1.0), (1.0, -1.0, 1.0, 1.0)
+    edge = (Pattern((1.0, -1.0, -1.0, -1.0), "<=", 0),
+            Pattern((1.0, -1.0, 1.0, 1.0), ">=", 0))
+    sides = [f"{side}_{j}" for j in slots for side in ("up", "lo")]
 
-    def rows() -> Iterator[Row]:
+    def groups() -> Iterator[Group]:
+        # slot j's up and lo rows both read x_u_j and x_v_j
+        x2 = [list(chain.from_iterable(zip(row, row))) for row in x]
         for u, v in sorted(g.edges):
-            label = f"edge_{u + 1}_{v + 1}_"
-            for j, xu, xv in zip(slots, x[u], x[v]):
-                names = (xu, xv, y[u], y[v])
-                yield Row("edge-consistency", f"{label}up_{j}", up, names,
-                          "<=", 0)
-                yield Row("edge-consistency", f"{label}lo_{j}", lo, names,
-                          ">=", 0)
-        for i in slots:
-            yield Row("vertex-assignment", f"assign_{i}", ones, x[i - 1],
-                      "=", 1)
-        for j, column in zip(slots, zip(*x)):
-            yield Row("component-size", f"compsize_{j}", total,
-                      (c[j - 1], *column), "=", 0)
-        yield Row("budget", "budget", ones, y, "<=", k)
-        for j in slots:
-            yield Row("size-indicator", f"indicator_{j}", all_ones, m[j - 1],
-                      "=", 1)
-        for j in slots:
-            yield Row("size-link", f"sizelink_{j}", link,
-                      (c[j - 1], *m[j - 1][1:]), "=", 0)
-        for t, column in zip(sizes, zip(*m)):
-            yield Row("size-count", f"sizecount_{t}", total,
-                      (s[t], *column), "=", 0)
+            yield Group("edge-consistency", edge,
+                        list(map(f"edge_{u + 1}_{v + 1}_".__add__, sides)),
+                        (x2[u], x2[v], [y[u]] * (2 * n), [y[v]] * (2 * n)))
+        yield Group("vertex-assignment", (Pattern(ones, "=", 1),),
+                    [f"assign_{i}" for i in slots], list(zip(*x)))
+        yield Group("component-size", (Pattern(total, "=", 0),),
+                    [f"compsize_{j}" for j in slots], (c, *x))
+        yield Group("budget", (Pattern(ones, "<=", k),), ["budget"],
+                    list(zip(y)))
+        by_size = list(zip(*m))
+        yield Group("size-indicator", (Pattern(all_ones, "=", 1),),
+                    [f"indicator_{j}" for j in slots], by_size)
+        yield Group("size-link", (Pattern(link, "=", 0),),
+                    [f"sizelink_{j}" for j in slots], (c, *by_size[1:]))
+        yield Group("size-count", (Pattern(total, "=", 0),),
+                    [f"sizecount_{t}" for t in sizes], (s, *m))
 
     weights = [t * w.value(t) for t in slots] + [-w.value(1)] * n
     objective = (tuple(weights), s[1:] + y)
     binaries = [name for names in x + [y] + m for name in names]
-    return Model(objective, rows(), binaries, c + s, n)
+    return Model(objective, groups(), binaries, c + s, n)
 
 
 _WRAP_WIDTH = 78
 
 
-def _signs(coefficients: Coefficients) -> list[str]:
-    """The sign and magnitude text in front of each name of a row."""
-    signs = []
-    for position, coefficient in enumerate(coefficients):
-        magnitude = abs(coefficient)
-        body = "" if magnitude == 1 else f"{magnitude!r} "
-        sign = "+ " if coefficient >= 0 else "- "
-        signs.append(sign + body if position or coefficient < 0 else body)
-    return signs
+class _Template:
+    """The format strings of one pattern's rows, or of the objective, with
+    ``%s`` for the label and each name: one flat, one per wrapped layout."""
+
+    def __init__(self, coefficients: tuple[float, ...], *tail: str):
+        # the sign and magnitude text in front of each name
+        signs = [("- " if c < 0 else "+ " if position else "")
+                 + ("" if abs(c) == 1 else f"{abs(c)!r} ")
+                 for position, c in enumerate(coefficients)]
+        self.texts = [sign + "%s" for sign in signs] + list(tail)
+        self.widths = list(map(len, signs + list(tail)))
+        self.flat = " %s: " + " ".join(self.texts)
+        self.fixed = len(self.flat) - 2 * len(signs) - 2  # less each %s
+        self.layouts: dict[tuple[int, ...], str] = {}
+
+    def line(self, row: tuple[str, ...]) -> str:
+        """The row ``(label, *names)``, wrapped well below the limits of
+        classic LP readers: a piece that would end past column 78 starts an
+        indented line, unless the line holds only its indent. The layout
+        depends only on the widths of the label and names, its key."""
+        key = tuple(map(len, row))
+        template = self.layouts.get(key)
+        if template is None:
+            template, end = " %s:", key[0] + 2
+            for text, width in zip(self.texts, map(add, self.widths,
+                                                   key[1:] + (0,))):
+                if end + 1 + width > _WRAP_WIDTH and end > 2:
+                    template, end = template + "\n  ", 2
+                template, end = f"{template} {text}", end + 1 + width
+            self.layouts[key] = template
+        return template % row
 
 
-def _wrap(label: str, pieces: list[str]) -> str:
-    """One labeled expression, wrapped well below the line-length limits
-    of classic LP readers; continuation lines are indented."""
-    lines = []
-    current = f" {label}:"
-    for piece in pieces:
-        if len(current) + 1 + len(piece) > _WRAP_WIDTH and current.strip():
-            lines.append(current)
-            current = "  "
-        current += f" {piece}"
-    lines.append(current)
-    return "\n".join(lines)
+def render_ilp(g: Graph, k: int, w: WeightVector) -> Iterator[str]:
+    """The LP text of the model for ``g`` with budget ``k``, in chunks: a
+    section or one group's rows each. The model is built, and its errors
+    raised, before this returns. A group whose longest possible row fits
+    is rendered flat in one ``map``; any other group's rows are wrapped."""
+    model = build_model(g, k, w)
+    widest = max(map(len, chain(model.binaries, model.generals)))
+    template = functools.cache(lambda pattern: _Template(
+        pattern.coefficients, f"{pattern.sense} {pattern.rhs}"))
+
+    def rows(group: Group) -> Iterator[str]:
+        templates = list(map(template, group.patterns))
+        table = zip(group.labels, *group.columns)
+        if (max(t.fixed for t in templates) + max(map(len, group.labels))
+                + len(group.columns) * widest <= _WRAP_WIDTH):
+            return map(str.__mod__, cycle([t.flat for t in templates]), table)
+        return map(_Template.line, cycle(templates), table)
+
+    def chunks() -> Iterator[str]:
+        coefficients, names = model.objective
+        yield (f"\\ component-size strength removal model: n={g.n}, "
+               f"edges={g.edge_count}, k={k}\nMinimize\n"
+               f"{_Template(coefficients).line(('obj', *names))}\n"
+               "Subject To\n")
+        for group in model.groups:
+            yield "\n".join(rows(group)) + "\n"
+        lines = [f" 0 <= {name} <= {model.upper}" for name in model.generals]
+        for title, names in (("Binaries", model.binaries),
+                             ("Generals", model.generals)):
+            lines += [title] + [" " + " ".join(names[start:start + 8])
+                                for start in range(0, len(names), 8)]
+        yield "Bounds\n" + "\n".join(lines) + "\nEnd\n"
+
+    return chunks()
 
 
 def emit_ilp(g: Graph, k: int, w: WeightVector) -> str:
-    """Render the model for ``g`` with removal budget ``k`` as LP text.
-
-    Requires weights for every size 1..n (clamp policy permitted). The
-    emitted file has one budget row, 2n edge rows per edge, and binary /
-    general sections for the variable groups.
-    """
-    model = build_model(g, k, w)
-    coefficients, names = model.objective
-    lines = [
-        f"\\ component-size strength removal model: n={g.n}, "
-        f"edges={g.edge_count}, k={k}",
-        "Minimize",
-        _wrap("obj", list(map(str.__add__, _signs(coefficients), names))),
-        "Subject To",
-    ]
-    # the rows of one pattern share one coefficients tuple: sign it once
-    signs_of: dict[Coefficients, list[str]] = {}
-    for _, label, coefficients, names, sense, rhs in model.rows:
-        signs = signs_of.get(coefficients)
-        if signs is None:
-            signs = signs_of[coefficients] = _signs(coefficients)
-        pieces = list(map(str.__add__, signs, names))
-        pieces.append(f"{sense} {rhs}")
-        line = f" {label}: " + " ".join(pieces)
-        # a line that fits is what the wrap loop would build
-        lines.append(line if len(line) <= _WRAP_WIDTH else _wrap(label, pieces))
-    lines.append("Bounds")
-    lines += [f" 0 <= {name} <= {model.upper}" for name in model.generals]
-    for title, names in (("Binaries", model.binaries),
-                         ("Generals", model.generals)):
-        lines.append(title)
-        for start in range(0, len(names), 8):
-            lines.append(" " + " ".join(names[start:start + 8]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    """The LP text of the model for ``g`` with removal budget ``k``: the
+    chunks of :func:`render_ilp`, joined."""
+    return "".join(render_ilp(g, k, w))
 
 
 def _in_domain(value: float, upper: int) -> bool:
@@ -252,17 +269,15 @@ def verify_ilp_solution(
                 f"{name} = {value[name]} is not an integer in "
                 f"0..{model.upper}",
             )
-    for row in model.rows:
-        lhs = sum(coefficient * value[name]
-                  for coefficient, name in zip(row.coefficients, row.names))
-        gap = lhs - row.rhs
-        too_high = gap > TOLERANCE and row.sense != ">="
-        too_low = gap < -TOLERANCE and row.sense != "<="
-        if too_high or too_low:
-            raise ConstraintViolationError(
-                row.family,
-                f"{row.label}: left-hand side is {lhs}, "
-                f"needs {row.sense} {row.rhs}",
-            )
+    for group in model.groups:
+        for (coefficients, sense, rhs), label, row in group.rows():
+            lhs = sum(map(mul, coefficients, map(value.__getitem__, row)))
+            gap = lhs - rhs
+            if (gap > TOLERANCE and sense != ">="
+                    or gap < -TOLERANCE and sense != "<="):
+                raise ConstraintViolationError(
+                    group.family,
+                    f"{label}: left-hand side is {lhs}, needs {sense} {rhs}",
+                )
     return sum(coefficient * value[name]
                for coefficient, name in zip(*model.objective))

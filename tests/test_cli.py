@@ -18,9 +18,17 @@ import netstrength
 from conftest import disjoint_paths, path_graph
 from netstrength import cli, metrics
 from netstrength.cli import main
-from netstrength.datasets import bundled_eval_path, save_edge_list
+from netstrength.datasets import (
+    GeneratorSpec,
+    bundled_eval_path,
+    generate,
+    load_edge_list,
+    save_edge_list,
+)
 from netstrength.graph import Graph, components
-from netstrength.metrics import WeightVector, sigma
+from netstrength.ilp import emit_ilp
+from netstrength.metrics import EXTENSION_CLAMP, WeightVector, sigma
+from netstrength.weights import default_weights
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -343,6 +351,43 @@ class TestDismantle:
         assert sorted(
             v for v in binaries.split() if v.startswith("y_")
         ) == ["y_1", "y_2", "y_3"]
+
+    def test_emit_lp_file_is_the_emitted_text(self, capsys, tmp_path):
+        # 31 nodes: wrapped rows, and weights clamped past size 30
+        target = tmp_path / "g.edges"
+        save_edge_list(generate(GeneratorSpec(model="gnm", n=31, m=40,
+                                              seed=4))[0], target)
+        lp_path = tmp_path / "model.lp"
+        code, _, _ = run_cli(
+            capsys, "dismantle", str(target), "--k", "2", "--objective",
+            "cole2", "--clamp-weights", "--emit-lp", str(lp_path),
+        )
+        assert code == 0
+        expected = emit_ilp(load_edge_list(target), 2,
+                            default_weights().with_policy(EXTENSION_CLAMP))
+        assert lp_path.read_bytes() == expected.encode("utf-8")
+
+    def test_uncovered_emit_lp_fails_before_the_search(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_search(query):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "best_removal", no_search)
+        target = tmp_path / "g.edges"
+        save_edge_list(path_graph(5), target)
+        weights_path = tmp_path / "w.csv"
+        metrics.save_weights(WeightVector.from_values([0.5, 0.7, 0.9]),
+                             weights_path)
+        lp_path = tmp_path / "model.lp"
+        code, out, err = run_cli(
+            capsys, "dismantle", str(target), "--k", "2", "--objective",
+            "cole2", "--weights", str(weights_path), "--emit-lp", str(lp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: --emit-lp needs weights for sizes 1..5, got 3; "
+                       "pass --clamp-weights\n")
+        assert not lp_path.exists()
 
     def test_result_written_to_file(self, capsys, tmp_path):
         target = tmp_path / "g.edges"
@@ -947,6 +992,25 @@ class TestGoldenOutput:
         )
         assert (code, out) == (0, self.FIT_WEIGHTS)
         assert report.read_text() == self.FIT_REPORT
+
+    def test_fit_weights_logs_unseen_sizes(self, capsys, suite, tmp_path):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(
+            "graph_id,participant_id,estimate\n"
+            "graph_0,p1,5.5\ngraph_1,p1,7.25\ngraph_2,p1,3\n"
+        )
+        code, out, err = run_cli(
+            capsys, "fit-weights", "--survey", str(survey),
+            "--graphs", str(suite),
+        )
+        assert code == 0
+        # sizes 2..11 occur in no graph of the suite
+        assert err.startswith("INFO fit 14 weights from 3 graphs (residual ")
+        assert err.endswith("rank 3); 10 size(s) absent from every surveyed "
+                            "graph got weight 0\n")
+        assert err.count("\n") == 1
+        weights = {row["size"]: row["weight"] for row in parse_csv(out)}
+        assert [weights[str(size)] for size in range(2, 12)] == ["0.0"] * 10
 
     def test_fit_weights_ridge_gives_unseen_sizes_zero(
         self, capsys, suite, tmp_path

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path_graph, random_graph
 from netstrength.datasets import GeneratorSpec, generate
@@ -13,6 +15,7 @@ from netstrength.graph import Graph, remove_nodes
 from netstrength.ilp import (
     CONSTRAINT_FAMILIES,
     ConstraintViolationError,
+    _Template,
     build_model,
     emit_ilp,
     verify_ilp_solution,
@@ -257,6 +260,96 @@ class TestLpCorpusDigest:
         assert digest.hexdigest() == self.DIGEST
 
 
+def wide_corpus():
+    """20 sparse G(n, m) models at the one-, two- and three-digit index
+    widths: n in (9, 10, 99, 100, 101), k 1..2, each under signed weights
+    with the error policy and the default weights with the clamp policy."""
+    rng = random.Random("wide lp corpus")
+    for n in (9, 10, 99, 100, 101):
+        for k in (1, 2):
+            g = generate(GeneratorSpec(model="gnm", n=n, m=n + n // 3,
+                                       seed=10 * n + k))[0]
+            yield g, k, WeightVector.from_values(
+                [round(rng.uniform(-2, 2), rng.choice([0, 1, 2]))
+                 for _ in range(n)]
+            )
+            yield g, k, default_weights().with_policy(EXTENSION_CLAMP)
+
+
+class TestWideLpDigest:
+    """The LP text of every wide-index model, hashed into one pinned
+    SHA-256: pins names, labels and line breaks where an index goes from
+    one digit to two and from two to three."""
+
+    DIGEST = (
+        "5efc55397a1be6f7c3ae1e6eec3bc935d6d3a08325c7c36ca0b90e54032c66e6"
+    )
+
+    def test_emitted_text_matches_pinned_digest(self):
+        digest = hashlib.sha256()
+        for g, k, w in wide_corpus():
+            digest.update(emit_ilp(g, k, w).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+def greedy_signs(coefficients):
+    """The sign texts of the writer before row groups, as a reference."""
+    signs = []
+    for position, coefficient in enumerate(coefficients):
+        magnitude = abs(coefficient)
+        body = "" if magnitude == 1 else f"{magnitude!r} "
+        sign = "+ " if coefficient >= 0 else "- "
+        signs.append(sign + body if position or coefficient < 0 else body)
+    return signs
+
+
+def greedy_wrap(label, pieces):
+    """The piece-by-piece wrap of the writer before row groups, as a
+    reference."""
+    lines = []
+    current = f" {label}:"
+    for piece in pieces:
+        if len(current) + 1 + len(piece) > 78 and current.strip():
+            lines.append(current)
+            current = "  "
+        current += f" {piece}"
+    lines.append(current)
+    return "\n".join(lines)
+
+
+WORD = st.text(alphabet="abxyz_019", min_size=1, max_size=90)
+
+
+class TestCachedWrap:
+    @settings(max_examples=400, deadline=None)
+    @given(label=WORD, terms=st.lists(st.tuples(st.sampled_from(
+        [1.0, -1.0, 2.0, -0.5, 0.25, 0.0, -3.0, 1e-7]), WORD), max_size=14),
+        tail=st.sampled_from(["<= 0", ">= 12", "= 1", "= " + "9" * 80]))
+    def test_matches_the_greedy_wrap(self, label, terms, tail):
+        coefficients = tuple(coefficient for coefficient, _ in terms)
+        names = [name for _, name in terms]
+        template = _Template(coefficients, tail)
+        pieces = list(map(str.__add__, greedy_signs(coefficients), names))
+        assert template.line((label, *names)) == greedy_wrap(
+            label, pieces + [tail]
+        )
+        # a row with the same widths reuses the cached layout
+        other = ["q" * len(name) for name in names]
+        pieces = list(map(str.__add__, greedy_signs(coefficients), other))
+        assert template.line(("p" * len(label), *other)) == greedy_wrap(
+            "p" * len(label), pieces + [tail]
+        )
+        assert len(template.layouts) == 1
+
+    @pytest.mark.parametrize("label", ["l", "l" * 80])
+    def test_long_label_and_piece(self, label):
+        template = _Template((1.0, -2.0, 1.0), "= 0")
+        names = ["a" * 79, "b", "c" * 3]
+        expected = greedy_wrap(label, ["a" * 79, "- 2.0 b", "+ ccc", "= 0"])
+        assert template.line((label, *names)) == expected
+        assert expected.splitlines()[:2] == [f" {label}:", "   " + "a" * 79]
+
+
 class TestVerification:
     def test_hand_built_assignment_matches_residual_strength(self):
         g = path_graph(3)
@@ -368,7 +461,9 @@ class TestVerification:
     def test_every_row_family_is_declared(self):
         g = generate(GeneratorSpec(model="gnm", n=6, m=7, seed=1))[0]
         model = build_model(g, 2, LINEAR_WEIGHTS)
-        assert {row.family for row in model.rows} <= set(CONSTRAINT_FAMILIES)
+        assert {group.family for group in model.groups} <= set(
+            CONSTRAINT_FAMILIES
+        )
 
 
 class TestSolverCrossCheck:
@@ -384,14 +479,15 @@ class TestSolverCrossCheck:
         objective = np.zeros(len(names))
         for coefficient, name in zip(*model.objective):
             objective[index[name]] = coefficient
-        rows = list(model.rows)
+        rows = [(pattern, row) for group in model.groups
+                for pattern, _, row in group.rows()]
         matrix = np.zeros((len(rows), len(names)))
-        for r, row in enumerate(rows):
-            for coefficient, name in zip(row.coefficients, row.names):
+        for r, (pattern, row) in enumerate(rows):
+            for coefficient, name in zip(pattern.coefficients, row):
                 matrix[r, index[name]] = coefficient
-        rhs = np.array([float(row.rhs) for row in rows])
-        lower = np.where([row.sense == "<=" for row in rows], -np.inf, rhs)
-        upper = np.where([row.sense == ">=" for row in rows], np.inf, rhs)
+        rhs = np.array([float(pattern.rhs) for pattern, _ in rows])
+        lower = np.where([p.sense == "<=" for p, _ in rows], -np.inf, rhs)
+        upper = np.where([p.sense == ">=" for p, _ in rows], np.inf, rhs)
         var_upper = np.array([1.0] * len(model.binaries)
                              + [float(model.upper)] * len(model.generals))
         result = scipy_opt.milp(
