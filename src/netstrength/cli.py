@@ -137,10 +137,25 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_ids(args: argparse.Namespace, preds: dict, gt: dict,
+               unknown: str) -> None:
+    """Both files must cover the same ids: a subset would score silently.
+    ``unknown`` words the error for a prediction without ground truth."""
+    graph_id = min(preds.keys() - gt.keys(), default=None)
+    if graph_id is not None:
+        raise ValueError(f"{datasets.graph_id_row(args.pred, graph_id)}: "
+                         f"{unknown} {graph_id!r}")
+    graph_id = next((g for g in gt if g not in preds), None)
+    if graph_id is not None:
+        raise ValueError(f"{datasets.graph_id_row(args.gt, graph_id)}: "
+                         f"no prediction for graph id {graph_id!r}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.mode == "match":
         preds = evaluation.load_predictions_csv(args.pred)
         gt = evaluation.load_ranked_gt_csv(args.gt)
+        _check_ids(args, preds, gt, "no ground truth for predicted graph")
         report = evaluation.match_stats(preds, gt)
         if args.out:
             Path(args.out).write_text(report.detail_csv(), encoding="utf-8")
@@ -159,20 +174,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("--graphs is required in strength mode")
     preds = evaluation.load_strength_values_csv(args.pred)
     gt = evaluation.load_strength_gt_csv(args.gt)
+    _check_ids(args, preds, gt, "prediction for unknown graph id")
     pred_values = []
     gt_values = []
     for graph_id in sorted(preds):
-        if graph_id not in gt:
-            raise ValueError(f"{datasets.graph_id_row(args.pred, graph_id)}: "
-                             f"prediction for unknown graph id {graph_id!r}")
         graph = datasets.load_graph_by_id(args.graphs, graph_id, args.pred)
         pred_values.append(preds[graph_id])
         gt_values.append(gt[graph_id] / graph.n)
-    # both files must cover the same ids: a subset would score silently
-    for graph_id in gt:
-        if graph_id not in preds:
-            raise ValueError(f"{datasets.graph_id_row(args.gt, graph_id)}: "
-                             f"no prediction for graph id {graph_id!r}")
     value = evaluation.rmse(pred_values, gt_values)
     sys.stdout.write(f"statistic,value\nrmse,{value!r}\n")
     return 0
@@ -289,6 +297,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one file per output: a second writer would overwrite the first
+    outputs: dict[Path, str] = {}
+    for dest in ("out_weights", "report", "emit_lp", "out", "summary_out"):
+        if path := getattr(args, dest, None):
+            flag = "--" + dest.replace("_", "-")
+            path = Path(path).resolve()
+            clash = outputs.setdefault(path, flag)
+            if clash != flag:
+                parser.error(f"{clash} and {flag} name the same file {path}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -126,12 +126,11 @@ def generate(spec: GeneratorSpec) -> list[Graph]:
 class EdgeListFile:
     """Parsed edge-list content, still at the label level.
 
-    ``labels`` follow first appearance order; ``edges`` keep one entry per
-    distinct unordered label pair. Dropped input lines are tallied in
-    ``duplicate_count`` and ``self_loop_count``.
+    ``labels`` follow first appearance order; ``edges`` keep the first
+    orientation of each distinct unordered label pair. Dropped input lines
+    are tallied in ``duplicate_count`` and ``self_loop_count``.
     """
 
-    path: str | None
     labels: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     duplicate_count: int
@@ -146,22 +145,11 @@ class EdgeListFile:
     def parse_lines(
         cls, lines: Iterable[str], source: str | None = None
     ) -> "EdgeListFile":
-        labels: list[str] = []
-        seen: set[str] = set()
-        edges: list[tuple[str, str]] = []
-        edge_keys: set[frozenset[str]] = set()
-        duplicates = 0
-        self_loops = 0
-
-        def register(label: str) -> None:
-            if label not in seen:
-                seen.add(label)
-                labels.append(label)
-
+        labels: dict[str, None] = {}  # insertion order is first appearance
+        edges: dict[frozenset[str], tuple[str, str]] = {}
+        edge_lines = self_loops = 0
         for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#!"):
                 tokens = line[2:].split()
                 if len(tokens) != 2 or tokens[0] != "node":
@@ -170,35 +158,26 @@ class EdgeListFile:
                         f"directive {line!r}",
                         line_no,
                     )
-                register(tokens[1])
-                continue
-            if line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise EdgeListParseError(
-                    f"{source or '<edge list>'}:{line_no}: expected two "
-                    f"labels, got {len(tokens)}",
-                    line_no,
-                )
-            u, v = tokens
-            if u == v:
-                self_loops += 1
-                register(u)
-                continue
-            register(u)
-            register(v)
-            key = frozenset((u, v))
-            if key in edge_keys:
-                duplicates += 1
-                continue
-            edge_keys.add(key)
-            edges.append((u, v))
+                labels[tokens[1]] = None
+            elif line and not line.startswith("#"):
+                tokens = line.split()
+                if len(tokens) != 2:
+                    raise EdgeListParseError(
+                        f"{source or '<edge list>'}:{line_no}: expected two "
+                        f"labels, got {len(tokens)}",
+                        line_no,
+                    )
+                u, v = tokens
+                labels[u] = labels[v] = None
+                if u == v:
+                    self_loops += 1
+                else:
+                    edge_lines += 1
+                    edges.setdefault(frozenset(tokens), (u, v))
         return cls(
-            path=source,
             labels=tuple(labels),
-            edges=tuple(edges),
-            duplicate_count=duplicates,
+            edges=tuple(edges.values()),
+            duplicate_count=edge_lines - len(edges),
             self_loop_count=self_loops,
         )
 
@@ -277,16 +256,13 @@ def save_edge_list(g: Graph, path: str | Path) -> None:
                 f"with '#'"
             )
         seen.add(label)
-    degree = [0] * g.n
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
+    labels = g.labels or tuple(map(str, range(g.n)))
+    touched = {node for edge in g.edges for node in edge}
     with open(path, "w", encoding="utf-8") as handle:
-        for node in range(g.n):
-            if degree[node] == 0:
-                handle.write(f"#! node {g.label(node)}\n")
-        for u, v in sorted(g.edges):
-            handle.write(f"{g.label(u)} {g.label(v)}\n")
+        handle.writelines(f"#! node {labels[node]}\n"
+                          for node in range(g.n) if node not in touched)
+        handle.writelines(f"{labels[u]} {labels[v]}\n"
+                          for u, v in sorted(g.edges))
 
 
 def write_suite(
@@ -316,8 +292,9 @@ def read_rows(
     Blank lines are skipped and the ``required`` values are stripped of
     surrounding whitespace. A header without every ``required`` column
     raises ``ValueError`` naming the file; a row too short to fill them
-    raises ``ValueError`` naming ``file:line``. Other columns missing from
-    a short row read as ``None``.
+    raises ``ValueError`` naming ``file:line``, and so does a row with more
+    cells than the header. Other columns missing from a short row read as
+    ``None``.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -326,6 +303,11 @@ def read_rows(
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         for row in reader:
+            if None in row:  # DictReader files the surplus cells under None
+                raise ValueError(
+                    f"{path}:{reader.line_num}: row has {len(row[None])} "
+                    f"cell(s) more than the {len(fields)}-column header"
+                )
             for name in required:
                 if row[name] is None:
                     raise ValueError(

@@ -223,23 +223,20 @@ def compare_suite(
     normalized by the graph's node count before comparison.
     """
     rows = []
-    normalized_by_metric: dict[str, list[float]] = {m: [] for m in metrics}
-    gt_normalized: list[float] = []
     for graph_id, graph in graphs:
         if graph_id not in gt_strengths:
             raise ValueError(f"no ground-truth strength for graph {graph_id!r}")
         sizes = components(graph)
-        values = []
-        for metric in metrics:
-            normalized = score(sizes, metric, weights) / graph.n
-            normalized_by_metric[metric].append(normalized)
-            values.append(normalized)
+        try:
+            values = [score(sizes, m, weights) / graph.n for m in metrics]
+        except ValueError as error:
+            raise type(error)(f"graph {graph_id!r}: {error}") from None
         gt_norm = gt_strengths[graph_id] / graph.n
-        gt_normalized.append(gt_norm)
         rows.append((graph_id, graph.n, gt_norm, *values))
+    gt_normalized = [row[2] for row in rows]
     rmse_by_metric = {
-        metric: rmse(normalized_by_metric[metric], gt_normalized)
-        for metric in metrics
+        metric: rmse([row[column] for row in rows], gt_normalized)
+        for column, metric in enumerate(metrics, start=3)
     }
     return CompareResult(
         metrics=tuple(metrics),

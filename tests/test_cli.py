@@ -496,6 +496,31 @@ class TestEval:
         assert err.startswith(f"error: {gt}:2: ")
         assert "Traceback" not in err
 
+    def test_match_mode_unknown_graph_names_its_row(self, capsys, tmp_path):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("graph_id,members\nZZZ,1\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "match", "--pred", str(pred),
+            "--gt", str(bundled_eval_path("single_gt.csv")),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {pred}:2: no ground truth for predicted graph 'ZZZ'\n"
+        )
+
+    def test_match_mode_refuses_unpredicted_graphs(self, capsys, tmp_path):
+        # a prediction file covering one of eight graphs used to score
+        # exact match 1.0 over that one graph
+        gt = bundled_eval_path("single_gt.csv")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("graph_id,members\nSAXENA,4\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "match", "--pred", str(pred),
+            "--gt", str(gt),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {gt}:4: no prediction for graph id 'RHODES'\n"
+
     def test_strength_mode_rmse(self, capsys, tmp_path):
         graph_dir = tmp_path / "graphs"
         graph_dir.mkdir()
@@ -586,6 +611,23 @@ class TestCompare:
         assert code == 1
         assert "missing" in err
 
+    def test_uncovered_size_names_the_graph(self, capsys, tmp_path):
+        graph_dir = tmp_path / "graphs"
+        graph_dir.mkdir()
+        save_edge_list(path_graph(31), graph_dir / "long.edges")
+        save_edge_list(path_graph(3), graph_dir / "short.edges")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("graph_id,mean_estimate\nshort,2.0\nlong,3.0\n")
+        code, out, err = run_cli(
+            capsys, "compare", "--graphs", str(graph_dir), "--gt", str(gt),
+            "--metrics", "proposed",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: graph 'long': component size 31 exceeds the 30-entry "
+            "weight vector (extension policy 'error')\n"
+        )
+
     def test_repeated_metric_rejected_by_parser(self, capsys, tmp_path):
         graph_dir = tmp_path / "graphs"
         graph_dir.mkdir()
@@ -597,6 +639,53 @@ class TestCompare:
                   "--metrics", "cole2,cole2"])
         assert excinfo.value.code == 2
         assert "metric 'cole2' given twice" in capsys.readouterr().err
+
+
+class TestOutputClash:
+    """Two outputs of one command may not name the same file: the second
+    writer would overwrite the first. The CLI refuses before any work."""
+
+    def fit_weights(self, tmp_path, target):
+        save_edge_list(path_graph(4), tmp_path / "g.edges")
+        survey = tmp_path / "survey.csv"
+        survey.write_text("graph_id,participant_id,estimate\ng,p1,2\n")
+        return ["fit-weights", "--survey", str(survey),
+                "--graphs", str(tmp_path), "--out-weights", str(target)]
+
+    def dismantle(self, tmp_path, target):
+        save_edge_list(path_graph(4), tmp_path / "g.edges")
+        return ["dismantle", str(tmp_path / "g.edges"), "--k", "1",
+                "--clamp-weights", "--emit-lp", str(target)]
+
+    def eval_match(self, tmp_path, target):
+        return ["eval", "--mode", "match",
+                "--pred", str(bundled_eval_path("single_pred_proposed.csv")),
+                "--gt", str(bundled_eval_path("single_gt.csv")),
+                "--out", str(target)]
+
+    @pytest.mark.parametrize("command, first, second", [
+        ("fit_weights", "--out-weights", "--report"),
+        ("dismantle", "--emit-lp", "--out"),
+        ("eval_match", "--out", "--summary-out"),
+    ])
+    def test_same_file_twice_is_refused(
+        self, capsys, tmp_path, command, first, second
+    ):
+        target = tmp_path / "x"
+        # another spelling of the same file
+        again = tmp_path / "sub" / ".." / "x"
+        argv = getattr(self, command)(tmp_path, target) + [second, str(again)]
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"\nnetstrength: error: {first} and {second} name the same file "
+            f"{target.resolve()}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestGraphDirectory:

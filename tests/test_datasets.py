@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import random
 import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs
 from netstrength.datasets import (
@@ -155,6 +158,110 @@ class TestEdgeListParsing:
         }
 
 
+def reference_parse_lines(lines, source=None):
+    """The edge-list reader before one dict per concept, as a reference:
+    ``(labels, edges, duplicate_count, self_loop_count)``."""
+    labels = []
+    seen = set()
+    edges = []
+    edge_keys = set()
+    duplicates = 0
+    self_loops = 0
+
+    def register(label):
+        if label not in seen:
+            seen.add(label)
+            labels.append(label)
+
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#!"):
+            tokens = line[2:].split()
+            if len(tokens) != 2 or tokens[0] != "node":
+                raise EdgeListParseError(
+                    f"{source or '<edge list>'}:{line_no}: unknown "
+                    f"directive {line!r}",
+                    line_no,
+                )
+            register(tokens[1])
+            continue
+        if line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(
+                f"{source or '<edge list>'}:{line_no}: expected two "
+                f"labels, got {len(tokens)}",
+                line_no,
+            )
+        u, v = tokens
+        if u == v:
+            self_loops += 1
+            register(u)
+            continue
+        register(u)
+        register(v)
+        key = frozenset((u, v))
+        if key in edge_keys:
+            duplicates += 1
+            continue
+        edge_keys.add(key)
+        edges.append((u, v))
+    return tuple(labels), tuple(edges), duplicates, self_loops
+
+
+def parse_outcome(parse, lines, source):
+    """What a reader makes of ``lines``: its fields, or its error."""
+    try:
+        result = parse(lines, source)
+    except EdgeListParseError as error:
+        return type(error), error.line_no, str(error)
+    if isinstance(result, EdgeListFile):
+        return (result.labels, result.edges, result.duplicate_count,
+                result.self_loop_count)
+    return result
+
+
+LABEL = st.sampled_from(["a", "b", "c", "d", "#x"])
+GAP = st.sampled_from([" ", "\t", "  "])
+NEUTRAL_LINE = st.one_of(
+    LABEL.map("#! node {}".format),
+    LABEL.map("#!node {}\n".format),
+    st.sampled_from(["", "  ", "\n", "# comment", "#", "#nodea"]),
+)
+BAD_LINE = st.sampled_from(
+    ["#!", "#! node", "#! node a b", "#! frob a", "#!nodea", "a", "a b c"]
+)
+
+
+@st.composite
+def edge_list_lines(draw):
+    """Edge lines and self-loops, some pairs again either way round,
+    directives, comments and blanks, and at most one malformed line, in
+    any order."""
+    pairs = draw(st.lists(st.tuples(LABEL, LABEL), max_size=8))
+    if pairs:
+        again = st.tuples(st.sampled_from(pairs), st.booleans())
+        pairs += [(v, u) if flip else (u, v)
+                  for (u, v), flip in draw(st.lists(again, max_size=6))]
+    lines = [f" {u}{draw(GAP)}{v}\n" for u, v in pairs]
+    lines += draw(st.lists(NEUTRAL_LINE, max_size=4))
+    lines += draw(st.lists(BAD_LINE, max_size=1))
+    return draw(st.permutations(lines))
+
+
+class TestParseReference:
+    @settings(max_examples=500, deadline=None)
+    @given(lines=edge_list_lines(), source=st.sampled_from([None, "g.edges"]))
+    def test_matches_the_reference_reader(self, lines, source):
+        expected = parse_outcome(reference_parse_lines, lines, source)
+        assert parse_outcome(EdgeListFile.parse_lines, lines, source) == (
+            expected
+        )
+
+
 class TestLoadGraphById:
     @pytest.mark.parametrize(
         "graph_id", ["", ".", "..", "../g", "a/b", os.sep + "g"]
@@ -186,6 +293,27 @@ class TestLoaderErrors:
         with pytest.raises(ValueError) as excinfo:
             load(path)
         assert str(excinfo.value).startswith(f"{path}:3:")
+
+
+    @pytest.mark.parametrize("load, text", [
+        (lambda p: load_survey_csv(p, p.parent),
+         "graph_id,participant_id,estimate,extra\ng1,p1,1,x\ng1,p2,5,7,8\n"),
+        (load_strength_gt_csv, "graph_id,mean_estimate\ng1,1\ng2,2,3\n"),
+        (load_predictions_csv, "graph_id,members\ng1,a\ng2,b,c\n"),
+        (load_weights, "size,weight\n1,0.5\n2,0.5,0.5\n"),
+    ], ids=["survey", "strength_gt", "predictions", "weights"])
+    def test_long_row_names_file_and_line(self, tmp_path, load, text):
+        # csv.DictReader files the surplus cells under the key None, where
+        # they used to be dropped without a word
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load(path)
+        header_width = len(text.split("\n")[0].split(","))
+        assert str(excinfo.value) == (
+            f"{path}:3: row has 1 cell(s) more than the {header_width}-column "
+            f"header"
+        )
 
 
 class TestRoundTrip:
@@ -243,6 +371,40 @@ class TestRoundTrip:
         assert again.n == g.n
         assert set(again.node_labels()) == set(g.node_labels())
         assert labeled_edges(again) == labeled_edges(g)
+
+
+def writer_corpus():
+    """Seeded suites at n = 12, 20, 40 and 58, sparse enough to leave
+    isolated nodes, and the same graphs under shuffled text labels."""
+    rng = random.Random(13)
+    for n in (12, 20, 40, 58):
+        for spec in (
+            GeneratorSpec(model="gnp", n=n, p=3 / n, seed=n, count=4),
+            GeneratorSpec(model="gnm", n=n, m=n // 2, seed=n, count=4),
+        ):
+            for g in generate(spec):
+                yield g
+                names = rng.sample(range(10 * n), n)
+                yield Graph(g.n, g.edges, tuple(f"v{i}" for i in names))
+    yield Graph.build(0, [])
+    yield Graph.build(5, [], labels="edcba")
+
+
+class TestWriterDigest:
+    """The bytes ``save_edge_list`` writes for the writer corpus, hashed
+    into one pinned SHA-256."""
+
+    DIGEST = (
+        "357b28f4fce2694aa659308f6c440dced58b7e20e9241887db0002ba33747a9f"
+    )
+
+    def test_written_bytes_match_pinned_digest(self, tmp_path):
+        digest = hashlib.sha256()
+        path = tmp_path / "g.edges"
+        for g in writer_corpus():
+            save_edge_list(g, path)
+            digest.update(path.read_bytes() + b"\0")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestWriteSuite:

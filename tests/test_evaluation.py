@@ -17,7 +17,7 @@ from netstrength.evaluation import (
     rmse,
 )
 from netstrength.graph import EmptyGraphError, Graph
-from netstrength.metrics import WeightVector
+from netstrength.metrics import WeightCoverageError, WeightVector
 
 # Reference aggregate statistics for the bundled survey-table fixtures.
 SINGLE_NODE_EXPECTED = {
@@ -238,6 +238,13 @@ class TestCompareSuite:
     def test_missing_ground_truth(self):
         with pytest.raises(ValueError, match="no ground-truth"):
             compare_suite([("a", path_graph(3))], {}, metrics=("cole1",))
+
+    def test_uncovered_size_names_the_graph(self):
+        graphs = [("a", path_graph(2)), ("b", path_graph(3))]
+        w = WeightVector.from_values([1.0, 1.0])
+        with pytest.raises(WeightCoverageError) as excinfo:
+            compare_suite(graphs, {"a": 2.0, "b": 3.0}, weights=w)
+        assert str(excinfo.value).startswith("graph 'b': component size 3 ")
 
     def test_csv_shape(self):
         graphs = [("a", path_graph(3))]
