@@ -2,7 +2,9 @@
 
 Machine-readable results go to stdout (or ``--out`` files); diagnostics and
 warnings go to stderr, so output can be piped safely. Every subcommand is
-deterministic given its flags and seeds.
+deterministic given its flags and seeds. Each imports the modules it runs
+when it runs, so a command loads no search, fit or evaluation code it does
+not use.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import datasets, evaluation, ilp, metrics, weights
-from .dismantle import DismantleQuery, best_removal
+from . import datasets, metrics
 from .graph import components
 
 logger = logging.getLogger(__name__)
@@ -24,7 +25,8 @@ logger = logging.getLogger(__name__)
 def _resolve_weights(spec: str, clamp: bool) -> metrics.WeightVector:
     policy = metrics.EXTENSION_CLAMP if clamp else metrics.EXTENSION_ERROR
     if spec == "default":
-        return weights.default_weights().with_policy(policy)
+        from .weights import default_weights
+        return default_weights().with_policy(policy)
     return metrics.load_weights(spec, policy)
 
 
@@ -79,6 +81,7 @@ def cmd_strength(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_weights(args: argparse.Namespace) -> int:
+    from . import weights
     dataset = weights.load_survey_csv(args.survey, args.graphs)
     system = weights.build_system(dataset)
     result = weights.fit_weights(system, ridge=args.ridge)
@@ -107,11 +110,12 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_dismantle(args: argparse.Namespace) -> int:
+    from . import dismantle
     graph = datasets.load_edge_list(args.graph)
     weight_vector = None
     if args.objective == "proposed" or args.emit_lp:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)
-    query = DismantleQuery(
+    query = dismantle.DismantleQuery(
         graph=graph,
         k=args.k,
         objective=args.objective,
@@ -123,10 +127,11 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
                              or len(weight_vector) >= graph.n):
         raise ValueError(f"--emit-lp needs weights for sizes 1..{graph.n}, "
                          f"got {len(weight_vector)}; pass --clamp-weights")
-    result = best_removal(query)
+    result = dismantle.best_removal(query)
     # the model is written only after the search succeeds: a refused or
     # failed run leaves no file behind
     if args.emit_lp:
+        from . import ilp
         chunks = ilp.render_ilp(graph, args.k, weight_vector)
         with open(args.emit_lp, "w", encoding="utf-8") as out:
             out.writelines(chunks)
@@ -152,6 +157,7 @@ def _check_ids(args: argparse.Namespace, preds: dict, gt: dict,
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import evaluation
     if args.mode == "match":
         preds = evaluation.load_predictions_csv(args.pred)
         gt = evaluation.load_ranked_gt_csv(args.gt)
@@ -187,6 +193,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import evaluation
     gt = evaluation.load_strength_gt_csv(args.gt)
     graphs = [
         (graph_id, datasets.load_graph_by_id(args.graphs, graph_id, args.gt))

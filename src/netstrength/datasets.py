@@ -26,10 +26,12 @@ import logging
 import math
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .graph import Graph
 
@@ -96,17 +98,14 @@ def _stream(seed: int, index: int) -> random.Random:
     return random.Random(seed * _SEED_STRIDE + index)
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def _gnp(n: int, p: float, rng: random.Random) -> Graph:
-    edges = [pair for pair in _all_pairs(n) if rng.random() < p]
+    draw = rng.random
+    edges = [pair for pair in combinations(range(n), 2) if draw() < p]
     return Graph.build(n, edges)
 
 
 def _gnm(n: int, m: int, rng: random.Random) -> Graph:
-    edges = rng.sample(_all_pairs(n), m)
+    edges = rng.sample(list(combinations(range(n), 2)), m)
     return Graph.build(n, edges)
 
 
@@ -138,7 +137,7 @@ class EdgeListFile:
 
     @classmethod
     def parse(cls, path: str | Path) -> "EdgeListFile":
-        with open(path, encoding="utf-8") as handle:
+        with _read_text(path) as handle:
             return cls.parse_lines(handle, source=str(path))
 
     @classmethod
@@ -284,6 +283,28 @@ def write_suite(
     return paths
 
 
+@contextmanager
+def _read_text(path: str | Path,
+               newline: str | None = None) -> Iterator[TextIO]:
+    """Open UTF-8 text, skipping a leading byte-order mark. A byte that is
+    not UTF-8 raises ``ValueError`` at ``file:line``: the decoder counts from
+    its own buffer, so this error path reads the bytes again for the line."""
+    try:
+        with open(path, newline=newline, encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        lines = Path(path).read_bytes().splitlines()
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}:{line_no}: not UTF-8: byte "
+                    f"{line[exc.start]:#04x} in column {exc.start + 1}"
+                ) from None
+        raise  # the file changed since it was read
+
+
 def read_rows(
     path: str | Path, required: Sequence[str]
 ) -> Iterator[tuple[int, dict[str, str]]]:
@@ -296,7 +317,7 @@ def read_rows(
     cells than the header. Other columns missing from a short row read as
     ``None``.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _read_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         missing = [name for name in required if name not in fields]

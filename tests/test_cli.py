@@ -373,7 +373,7 @@ class TestDismantle:
         def no_search(query):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli, "best_removal", no_search)
+        monkeypatch.setattr("netstrength.dismantle.best_removal", no_search)
         target = tmp_path / "g.edges"
         save_edge_list(path_graph(5), target)
         weights_path = tmp_path / "w.csv"
@@ -639,6 +639,27 @@ class TestCompare:
                   "--metrics", "cole2,cole2"])
         assert excinfo.value.code == 2
         assert "metric 'cole2' given twice" in capsys.readouterr().err
+
+
+class TestEncoding:
+    """Input that is not UTF-8 exits 1 naming the file and line, for both
+    text readers."""
+
+    def test_edge_list_not_utf8(self, capsys, tmp_path):
+        target = tmp_path / "latin.edges"
+        target.write_bytes(b"a b\nb \xe9t\xe9\n")
+        code, out, err = run_cli(capsys, "strength", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: {target}:2: not UTF-8: byte 0xe9 in column 3\n"
+
+    def test_csv_not_utf8(self, capsys, tmp_path):
+        gt = tmp_path / "gt.csv"
+        gt.write_bytes(b"graph_id,mean_estimate\ng1,1.0\nZ\xfcrich,2.0\n")
+        code, out, err = run_cli(
+            capsys, "compare", "--graphs", str(tmp_path), "--gt", str(gt),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {gt}:3: not UTF-8: byte 0xfc in column 2\n"
 
 
 class TestOutputClash:
@@ -920,6 +941,49 @@ class TestEntryPoint:
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+    # each command imports the modules it runs, and no others
+    BASE = {"netstrength", "netstrength.cli", "netstrength.datasets",
+            "netstrength.graph", "netstrength.metrics"}
+    LOADED = (
+        "import json, sys\n"
+        "from netstrength.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "names = [m for m in sys.modules if m.startswith('netstrength')]\n"
+        "open(sys.argv[1], 'w').write(json.dumps(names))\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize("argv, extra", [
+        ("gen --model gnp --n 5 --p 0.5 --seed 1 --out suite", ()),
+        ("strength g1.edges", ("weights",)),
+        ("dismantle g1.edges --k 1", ("dismantle", "weights")),
+        ("dismantle g1.edges --k 1 --clamp-weights --emit-lp model.lp",
+         ("dismantle", "ilp", "weights")),
+        ("fit-weights --survey survey.csv --graphs .", ("weights",)),
+        ("compare --graphs . --gt gt.csv", ("evaluation", "weights")),
+        ("eval --mode strength --pred pred.csv --gt gt.csv --graphs .",
+         ("evaluation",)),
+        ("eval --mode match --pred {pred} --gt {gt}", ("evaluation",)),
+    ], ids=["gen", "strength", "dismantle", "dismantle-emit-lp",
+            "fit-weights", "compare", "eval-strength", "eval-match"])
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv, extra):
+        save_edge_list(path_graph(3), tmp_path / "g1.edges")
+        (tmp_path / "survey.csv").write_text(
+            "graph_id,participant_id,estimate\ng1,p1,2.5\n")
+        (tmp_path / "gt.csv").write_text("graph_id,mean_estimate\ng1,2.0\n")
+        (tmp_path / "pred.csv").write_text("graph_id,value\ng1,0.5\n")
+        argv = argv.format(pred=bundled_eval_path("single_pred_proposed.csv"),
+                           gt=bundled_eval_path("single_gt.csv")).split()
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LOADED, "loaded.json", *argv],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads((tmp_path / "loaded.json").read_text())
+        assert sorted(loaded) == sorted(
+            self.BASE | {f"netstrength.{name}" for name in extra}
+        )
 
     def test_fit_weights_in_fresh_interpreter(self, tmp_path):
         save_edge_list(path_graph(3), tmp_path / "g1.edges")

@@ -31,7 +31,7 @@ from netstrength.evaluation import (
     load_strength_gt_csv,
     load_strength_values_csv,
 )
-from netstrength.graph import Graph
+from netstrength.graph import Graph, components
 from netstrength.metrics import load_weights
 from netstrength.weights import load_survey_csv
 
@@ -314,6 +314,64 @@ class TestLoaderErrors:
             f"{path}:3: row has 1 cell(s) more than the {header_width}-column "
             f"header"
         )
+
+
+_CSV_LOADERS = [
+    (lambda p: load_survey_csv(p, p.parent),
+     "graph_id,participant_id,estimate\ng1,p1,1\ng1,p2,2\n"),
+    (load_strength_gt_csv, "graph_id,mean_estimate\ng1,1\ng2,2\n"),
+    (load_strength_values_csv, "graph_id,value\ng1,0.5\ng2,0.25\n"),
+    (load_predictions_csv, "graph_id,members\ng1,a\ng2,b;c\n"),
+    (load_ranked_gt_csv, "graph_id,rank,members,vote_share\ng1,1,a,50\n"),
+    (load_weights, "size,weight\n1,0.5\n2,0.25\n"),
+]
+_CSV_IDS = ["survey", "strength_gt", "strength_values", "predictions",
+            "ranked_gt", "weights"]
+
+
+class TestEncoding:
+    """Both text readers take UTF-8 with or without a byte-order mark, and
+    name ``file:line`` for a byte that is not UTF-8."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_bom_edge_list_is_the_same_graph(self, tmp_path):
+        path = tmp_path / "t.edges"
+        path.write_bytes(self.BOM + b"a b\nb c\nc a\n")
+        g = load_edge_list(path)
+        assert (g.n, g.node_labels(), components(g)) == (3, ("a", "b", "c"),
+                                                          (3,))
+
+    @pytest.mark.parametrize("load, text", _CSV_LOADERS, ids=_CSV_IDS)
+    def test_bom_csv_loads_as_without(self, tmp_path, load, text):
+        save_edge_list(Graph.build(3, [(0, 1), (1, 2)]), tmp_path / "g1.edges")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(self.BOM + text.encode())
+        assert load(marked) == load(plain)
+
+    @pytest.mark.parametrize("load, text", _CSV_LOADERS + [
+        (load_edge_list, "a b\nb c\n"),
+    ], ids=_CSV_IDS + ["edge_list"])
+    def test_latin1_byte_names_file_and_line(self, tmp_path, load, text):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode() + b"g\xe9,1\n")
+        with pytest.raises(ValueError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == (
+            f"{path}:{text.count(chr(10)) + 1}: not UTF-8: byte 0xe9 in "
+            f"column 2"
+        )
+
+    def test_line_found_past_the_decoder_buffer(self, tmp_path):
+        # the decoder reads in chunks, so its own offset is not the file's
+        path = tmp_path / "long.edges"
+        path.write_bytes(b"a b\n" * 5000 + b"c \xff\n")
+        with pytest.raises(ValueError, match=(
+            rf"^{re.escape(str(path))}:5001: not UTF-8: byte 0xff in "
+            r"column 3$"
+        )):
+            load_edge_list(path)
 
 
 class TestRoundTrip:
