@@ -10,7 +10,6 @@ not use.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -68,15 +67,14 @@ def cmd_strength(args: argparse.Namespace) -> int:
     weight_vector = None
     if "proposed" in selected:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)
-    # every row is computed, from one BFS, before any is written: a failure
-    # leaves no output
+    # every row is computed from one traversal of the graph before any is
+    # written: a failure leaves no output
     sizes = components(graph)
     raws = [metrics.score(sizes, m, weight_vector) for m in selected]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["metric", "raw", "normalized"])
-    writer.writerows(
-        [m, repr(raw), repr(raw / graph.n)] for m, raw in zip(selected, raws)
-    )
+    sys.stdout.write(datasets.csv_text(
+        ["metric", "raw", "normalized"],
+        [[m, raw, raw / graph.n] for m, raw in zip(selected, raws)],
+    ))
     return 0
 
 
@@ -145,8 +143,9 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
 def _check_ids(args: argparse.Namespace, preds: dict, gt: dict,
                unknown: str) -> None:
     """Both files must cover the same ids: a subset would score silently.
-    ``unknown`` words the error for a prediction without ground truth."""
-    graph_id = min(preds.keys() - gt.keys(), default=None)
+    Each error names the first such id in its file; ``unknown`` words the
+    one for a prediction without ground truth."""
+    graph_id = next((g for g in preds if g not in gt), None)
     if graph_id is not None:
         raise ValueError(f"{datasets.graph_id_row(args.pred, graph_id)}: "
                          f"{unknown} {graph_id!r}")
@@ -175,7 +174,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             print(report.format_table())
         return 0
-    # strength mode: RMSE of normalized predictions vs normalized estimates
+    # strength mode: RMSE of normalized predictions vs normalized estimates,
+    # to stdout only, so a match-mode output would silently go unwritten
+    for flag, given in (("--out", args.out), ("--csv", args.csv),
+                        ("--summary-out", args.summary_out)):
+        if given:
+            raise ValueError(f"{flag} is only used in match mode")
     if not args.graphs:
         raise ValueError("--graphs is required in strength mode")
     preds = evaluation.load_strength_values_csv(args.pred)
@@ -188,7 +192,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pred_values.append(preds[graph_id])
         gt_values.append(gt[graph_id] / graph.n)
     value = evaluation.rmse(pred_values, gt_values)
-    sys.stdout.write(f"statistic,value\nrmse,{value!r}\n")
+    sys.stdout.write(datasets.csv_text(["statistic", "value"],
+                                       [["rmse", value]]))
     return 0
 
 

@@ -15,12 +15,14 @@ express them); the parser honors the directive and treats every other
 ``#`` line as a comment, so files stay readable by third-party tools.
 
 Every CSV loader in the package reads its rows through :func:`read_rows`
-and its numeric cells through :func:`parse_cell`.
+and its numeric cells through :func:`parse_cell`; every CSV table the
+package writes is built by :func:`csv_text`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -337,6 +339,16 @@ def read_rows(
                     )
                 row[name] = row[name].strip()
             yield reader.line_num, row
+
+
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """A headed CSV table, each line ended by ``\\n``. Cells are written
+    with ``str``: floats, numpy's too, as shortest round-trip decimals."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def parse_cell(

@@ -8,19 +8,23 @@ pair [2, 11] equals [11, 2].
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
-from .datasets import parse_cell, read_rows
+from .datasets import csv_text, parse_cell, read_rows
 from .graph import Graph, components
 from .metrics import METRIC_IDS, WeightVector, score
 
 MEMBER_SEPARATOR = ";"
 _STATISTICS = ("exact_match", "rank_match", "percentage_match")
+_T = TypeVar("_T")
+
+
+def _or_dash(value: _T | None) -> _T | str:
+    """The value, or "-" for a statistic or rank that is undefined."""
+    return "-" if value is None else value
 
 
 def rmse(pred: Sequence[float], gt: Sequence[float]) -> float:
@@ -92,27 +96,18 @@ class MatchReport:
     details: tuple[MatchDetail, ...]
 
     def detail_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["graph_id", "prediction", "rank", "vote_share", "hit"])
-        for d in self.details:
-            writer.writerow([
-                d.graph_id,
-                MEMBER_SEPARATOR.join(sorted(d.prediction)),
-                "-" if d.rank is None else d.rank,
-                "-" if d.vote_share is None else repr(d.vote_share),
-                int(d.hit),
-            ])
-        return out.getvalue()
+        return csv_text(
+            ["graph_id", "prediction", "rank", "vote_share", "hit"],
+            ([d.graph_id, MEMBER_SEPARATOR.join(sorted(d.prediction)),
+              _or_dash(d.rank), _or_dash(d.vote_share), int(d.hit)]
+             for d in self.details),
+        )
 
     def summary_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["statistic", "value"])
-        for name in _STATISTICS:
-            value = getattr(self, name)
-            writer.writerow([name, "-" if value is None else repr(value)])
-        return out.getvalue()
+        return csv_text(
+            ["statistic", "value"],
+            ([name, _or_dash(getattr(self, name))] for name in _STATISTICS),
+        )
 
     def format_table(self) -> str:
         rows = [("graph", "prediction", "rank", "hit")]
@@ -120,7 +115,7 @@ class MatchReport:
             rows.append((
                 d.graph_id,
                 "{" + ", ".join(sorted(d.prediction)) + "}",
-                "-" if d.rank is None else str(d.rank),
+                str(_or_dash(d.rank)),
                 "yes" if d.hit else "no",
             ))
         widths = [max(len(r[c]) for r in rows) for c in range(4)]
@@ -130,9 +125,8 @@ class MatchReport:
         ]
         lines.append("")
         for name in _STATISTICS:
-            value = getattr(self, name)
             label = name.replace("_", " ")
-            lines.append(f"{label:<17}{'-' if value is None else value}")
+            lines.append(f"{label:<17}{_or_dash(getattr(self, name))}")
         return "\n".join(lines)
 
 
@@ -192,23 +186,16 @@ class CompareResult:
     rmse_by_metric: dict[str, float]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["graph_id", "n", "gt_norm"] + [f"{m}_norm" for m in self.metrics]
+        rmse_rows = (
+            [f"rmse:{metric}", "", ""]
+            + [self.rmse_by_metric[m] if m == metric else ""
+               for m in self.metrics]
+            for metric in self.metrics
         )
-        for row in self.rows:
-            graph_id, n, gt_norm, *values = row
-            writer.writerow(
-                [graph_id, n, repr(gt_norm)] + [repr(v) for v in values]
-            )
-        for metric in self.metrics:
-            cells = {metric: repr(self.rmse_by_metric[metric])}
-            writer.writerow(
-                [f"rmse:{metric}", "", ""]
-                + [cells.get(m, "") for m in self.metrics]
-            )
-        return out.getvalue()
+        return csv_text(
+            ["graph_id", "n", "gt_norm"] + [f"{m}_norm" for m in self.metrics],
+            [*self.rows, *rmse_rows],
+        )
 
 
 def compare_suite(
@@ -245,10 +232,10 @@ def compare_suite(
     )
 
 
-def _members(path: str | Path, line_no: int, text: str) -> frozenset[str]:
-    members = frozenset(
-        token.strip() for token in text.split(MEMBER_SEPARATOR) if token.strip()
-    )
+def _members(path: str | Path, line_no: int, row: dict[str, str],
+             column: str) -> frozenset[str]:
+    labels = map(str.strip, row[column].split(MEMBER_SEPARATOR))
+    members = frozenset(labels) - {""}
     if not members:
         raise ValueError(f"{path}:{line_no}: empty member set")
     return members
@@ -271,7 +258,7 @@ def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
                                  f"non-negative, got {row['vote_share']!r}")
         candidates.setdefault(row["graph_id"], []).append((
             parse_cell(path, line_no, row, "rank", int),
-            _members(path, line_no, row["members"]),
+            _members(path, line_no, row, "members"),
             share,
         ))
     result = {}
@@ -296,39 +283,33 @@ def load_ranked_gt_csv(path: str | Path) -> dict[str, RankedGroundTruth]:
     return result
 
 
-def load_predictions_csv(path: str | Path) -> dict[str, frozenset[str]]:
-    """Read ``graph_id,members`` rows (members ;-separated)."""
-    result: dict[str, frozenset[str]] = {}
-    for line_no, row in read_rows(path, ("graph_id", "members")):
-        graph_id = row["graph_id"]
-        if graph_id in result:
-            raise ValueError(
-                f"{path}:{line_no}: duplicate prediction for {graph_id!r}"
-            )
-        result[graph_id] = _members(path, line_no, row["members"])
-    if not result:
-        raise ValueError(f"{path}: no prediction rows")
-    return result
-
-
-def _load_graph_values(path: str | Path, column: str) -> dict[str, float]:
-    """Read ``graph_id,<column>`` rows: unique ids, finite values."""
-    result: dict[str, float] = {}
+def _by_graph_id(
+    path: str | Path, column: str,
+    parse: Callable[[str | Path, int, dict[str, str], str], _T],
+) -> dict[str, _T]:
+    """Read ``graph_id,<column>`` rows, each id once, into
+    ``{graph_id: parse(path, line_no, row, column)}``."""
+    result: dict[str, _T] = {}
     for line_no, row in read_rows(path, ("graph_id", column)):
         graph_id = row["graph_id"]
         if graph_id in result:
             raise ValueError(f"{path}:{line_no}: duplicate graph_id {graph_id!r}")
-        result[graph_id] = parse_cell(path, line_no, row, column)
+        result[graph_id] = parse(path, line_no, row, column)
     if not result:
         raise ValueError(f"{path}: no {column} rows")
     return result
 
 
+def load_predictions_csv(path: str | Path) -> dict[str, frozenset[str]]:
+    """Read ``graph_id,members`` rows (members ;-separated)."""
+    return _by_graph_id(path, "members", _members)
+
+
 def load_strength_values_csv(path: str | Path) -> dict[str, float]:
     """Read ``graph_id,value`` rows of normalized strength predictions."""
-    return _load_graph_values(path, "value")
+    return _by_graph_id(path, "value", parse_cell)
 
 
 def load_strength_gt_csv(path: str | Path) -> dict[str, float]:
     """Read ``graph_id,mean_estimate`` rows."""
-    return _load_graph_values(path, "mean_estimate")
+    return _by_graph_id(path, "mean_estimate", parse_cell)

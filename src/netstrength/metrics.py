@@ -9,13 +9,12 @@ functions of the component sizes alone and are computed by :func:`score`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
-from .datasets import parse_cell, read_rows
+from .datasets import csv_text, parse_cell, read_rows
 from .graph import EmptyGraphError, Graph, components
 
 EXTENSION_ERROR = "error"
@@ -169,10 +168,8 @@ def write_weights(w: WeightVector, handle: TextIO) -> None:
     Weights are written with shortest round-trip decimal formatting, so
     save -> load -> save is byte-stable and no precision is ever lost.
     """
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["size", "weight"])
-    for size, weight in enumerate(w.weights, start=1):
-        writer.writerow([size, repr(weight)])
+    rows = enumerate(w.weights, start=1)
+    handle.write(csv_text(["size", "weight"], rows))
 
 
 def save_weights(w: WeightVector, path: str | Path) -> None:

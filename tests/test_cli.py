@@ -574,6 +574,33 @@ class TestEval:
             f"error: {pred}:3: prediction for unknown graph id 'g9'\n"
         )
 
+    def test_strength_mode_names_first_unknown_id_in_file_order(
+        self, capsys, tmp_path
+    ):
+        code, out, err, _, pred = self.strength_eval(
+            capsys, tmp_path, "g1,2.0\ng2,4.0\n",
+            "g1,0.5\nZZZ,0.5\ng2,0.5\nAAA,0.5\n",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {pred}:3: prediction for unknown graph id 'ZZZ'\n"
+        )
+
+    @pytest.mark.parametrize("option", [
+        ["--out", "det.csv"], ["--summary-out", "sum.csv"], ["--csv"],
+    ], ids=["out", "summary-out", "csv"])
+    def test_strength_mode_refuses_match_outputs(self, capsys, tmp_path,
+                                                 monkeypatch, option):
+        # refused before any input is read: none of these files exists
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "strength", "--pred", "pred.csv",
+            "--gt", "gt.csv", "--graphs", "graphs", *option,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {option[0]} is only used in match mode\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_strength_mode_refuses_unpredicted_rows(self, capsys, tmp_path):
         # a ground-truth row with no prediction used to be left out of
         # the RMSE without a word

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -13,15 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netstrength
 from conftest import graphs
 from netstrength.datasets import (
     EdgeListFile,
     EdgeListParseError,
     GeneratorSpec,
     bundled_eval_path,
+    csv_text,
     generate,
     load_edge_list,
     load_graph_by_id,
+    read_rows,
     save_edge_list,
     write_suite,
 )
@@ -463,6 +467,29 @@ class TestWriterDigest:
             save_edge_list(g, path)
             digest.update(path.read_bytes() + b"\0")
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestOneCsvWriterAndReader:
+    """Every CSV table the package writes goes through ``csv_text`` and
+    every one it reads through ``read_rows``: a second ``csv.writer`` or
+    ``csv.DictReader`` would bring back its own formatting rules."""
+
+    SOURCES = sorted(Path(netstrength.__file__).parent.glob("*.py"))
+
+    def test_one_writer_and_one_reader(self):
+        text = "".join(p.read_text(encoding="utf-8") for p in self.SOURCES)
+        assert text.count("csv.writer(") == 1
+        assert text.count("csv.DictReader(") == 1
+        assert "csv.writer(" in inspect.getsource(csv_text)
+        assert "csv.DictReader(" in inspect.getsource(read_rows)
+
+    def test_only_datasets_imports_csv_and_io(self):
+        importers = [
+            p.name for p in self.SOURCES
+            if re.search(r"^\s*(import|from) (csv|io)\b",
+                         p.read_text(encoding="utf-8"), re.M)
+        ]
+        assert importers == ["datasets.py"]
 
 
 class TestWriteSuite:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -162,6 +163,20 @@ class TestMatchStats:
         table = report.format_table()
         assert "exact match" in table
 
+    def test_numpy_values_written_as_plain_decimals(self):
+        gt = {"a": RankedGroundTruth(
+            candidates=(frozenset({"1"}), frozenset({"2"})),
+            vote_shares=tuple(np.array([60.0, 30.0])),
+        )}
+        report = match_stats({"a": {"2"}}, gt)
+        assert report.detail_csv() == (
+            "graph_id,prediction,rank,vote_share,hit\na,2,2,30.0,0\n"
+        )
+        assert report.summary_csv() == (
+            "statistic,value\nexact_match,0.0\nrank_match,2.0\n"
+            "percentage_match,30.0\n"
+        )
+
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError, match="no predictions"):
             match_stats({}, {})
@@ -246,6 +261,19 @@ class TestCompareSuite:
             compare_suite(graphs, {"a": 2.0, "b": 3.0}, weights=w)
         assert str(excinfo.value).startswith("graph 'b': component size 3 ")
 
+    def test_numpy_values_written_as_plain_decimals(self):
+        graphs = [("a", path_graph(2)), ("b", disjoint_paths([1, 1]))]
+        w = WeightVector(tuple(np.array([0.5, 1.0])))
+        gt = {"a": np.float64(1.5), "b": np.float64(1.5)}
+        result = compare_suite(graphs, gt, ("proposed", "cole2"), w)
+        assert result.to_csv() == (
+            "graph_id,n,gt_norm,proposed_norm,cole2_norm\n"
+            "a,2,0.75,1.0,1.0\n"
+            "b,2,0.75,0.5,0.5\n"
+            "rmse:proposed,,,0.25,\n"
+            "rmse:cole2,,,,0.25\n"
+        )
+
     def test_csv_shape(self):
         graphs = [("a", path_graph(3))]
         w = WeightVector.from_values([1.0, 1.0, 1.0])
@@ -316,6 +344,13 @@ class TestLoaders:
         path.write_text("graph_id,members\ng,1\ng,2\n")
         with pytest.raises(ValueError, match="duplicate"):
             load_predictions_csv(path)
+
+    def test_predictions_duplicate_names_file_and_line(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text("graph_id,members\ng,1\nh,2\ng,2\n")
+        with pytest.raises(ValueError) as info:
+            load_predictions_csv(path)
+        assert str(info.value) == f"{path}:4: duplicate graph_id 'g'"
 
     def test_strength_loaders(self, tmp_path):
         gt_path = tmp_path / "gt.csv"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -73,6 +74,17 @@ class TestWeightVector:
         first = path.read_text()
         save_weights(again, path)
         assert path.read_text() == first
+
+    def test_numpy_weights_round_trip(self, tmp_path):
+        # numpy 2 writes repr(np.float64(0.5)) as "np.float64(0.5)", which
+        # the loader rejects; the file must hold plain decimals
+        w = WeightVector(tuple(np.array([0.5, 0.25, 1 / 3])))
+        path = tmp_path / "w.csv"
+        save_weights(w, path)
+        assert path.read_text() == (
+            "size,weight\n1,0.5\n2,0.25\n3,0.3333333333333333\n"
+        )
+        assert load_weights(path).weights == w.weights
 
     def test_csv_rejects_gaps(self, tmp_path):
         path = tmp_path / "w.csv"
