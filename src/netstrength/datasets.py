@@ -30,7 +30,6 @@ import os
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from importlib import resources
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -313,15 +312,20 @@ def read_rows(
     """Yield ``(line_no, row)`` for each data row of a headed CSV file.
 
     Blank lines are skipped and the ``required`` values are stripped of
-    surrounding whitespace. A header without every ``required`` column
-    raises ``ValueError`` naming the file; a row too short to fill them
-    raises ``ValueError`` naming ``file:line``, and so does a row with more
-    cells than the header. Other columns missing from a short row read as
-    ``None``.
+    surrounding whitespace. A header without every ``required`` column, or
+    one that names a non-empty column twice, raises ``ValueError`` naming
+    the file; a row too short to fill them raises ``ValueError`` naming
+    ``file:line``, and so does a row with more cells than the header. Other
+    columns missing from a short row read as ``None``.
     """
     with _read_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
+        for index, name in enumerate(fields):
+            if name and name in fields[:index]:  # DictReader keeps the last
+                raise ValueError(
+                    f"{path}: column {name!r} appears twice in the header"
+                )
         missing = [name for name in required if name not in fields]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
@@ -374,10 +378,10 @@ def parse_cell(
 def bundled_eval_path(name: str) -> Path:
     """Path of a bundled evaluation fixture (ranked ground truth or
     per-metric predictions for the surveyed real-world networks)."""
-    root = resources.files("netstrength") / "data" / "eval"
-    path = Path(str(root / name))
+    root = Path(__file__).parent / "data" / "eval"
+    path = root / name
     if not path.exists():
-        available = sorted(p.name for p in Path(str(root)).iterdir())
+        available = sorted(p.name for p in root.iterdir())
         raise FileNotFoundError(
             f"no bundled fixture {name!r}; available: {available}"
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .datasets import csv_text, parse_cell, read_rows
 from .graph import EmptyGraphError, Graph, components
@@ -34,13 +34,15 @@ class WeightVector:
     ``weights[i-1]`` is the weight of a size-``i`` component. Sizes beyond
     ``N`` either raise (:data:`EXTENSION_ERROR`, the default) or reuse the
     last entry (:data:`EXTENSION_CLAMP`). Entries may be negative or exceed
-    1; no clipping is applied.
+    1; no clipping is applied. ``weights`` may be any iterable of real
+    numbers, numpy's included; it is stored as a tuple of Python floats.
     """
 
     weights: tuple[float, ...]
     extension_policy: str = EXTENSION_ERROR
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if len(self.weights) < 1:
             raise ValueError("weight vector must have at least one entry")
         for i, w in enumerate(self.weights, start=1):
@@ -69,14 +71,6 @@ class WeightVector:
 
     def with_policy(self, extension_policy: str) -> "WeightVector":
         return WeightVector(self.weights, extension_policy)
-
-    @classmethod
-    def from_values(
-        cls,
-        values: Iterable[float],
-        extension_policy: str = EXTENSION_ERROR,
-    ) -> "WeightVector":
-        return cls(tuple(float(v) for v in values), extension_policy)
 
 
 @dataclass(frozen=True)
@@ -193,4 +187,4 @@ def load_weights(
         values.append(parse_cell(path, line_no, row, "weight"))
     if not values:
         raise ValueError(f"{path}: no weight rows")
-    return WeightVector.from_values(values, extension_policy)
+    return WeightVector(values, extension_policy)

@@ -137,7 +137,7 @@ def fit_weights(dm: DesignMatrix, ridge: float = 0.0) -> FitResult:
     solution[~matrix.any(axis=0)] = 0.0
     residual = float(np.linalg.norm(matrix @ solution - target))
     return FitResult(
-        weights=WeightVector.from_values(solution),
+        weights=WeightVector(solution),
         residual_norm=residual,
         rank=int(rank),
         regularization=float(ridge),

@@ -185,7 +185,7 @@ def test_weight_fit_round_trip():
     from conftest import disjoint_paths, path_graph
 
     generating = (1.0, 0.72, 0.88, 0.61, 0.94, 0.57)
-    w_star = WeightVector.from_values(generating)
+    w_star = WeightVector(generating)
     suite = [
         disjoint_paths([1, 1, 1]),
         path_graph(2), path_graph(3), path_graph(4), path_graph(5),

@@ -197,7 +197,7 @@ class TestStrength:
 class TestFitWeights:
     def write_suite(self, tmp_path):
         generating = [1.0, 0.72, 0.88, 0.61, 0.94, 0.57]
-        w_star = WeightVector.from_values(generating)
+        w_star = WeightVector(generating)
         suite = {
             "iso": Graph.build(3, []),
             "p2": path_graph(2),
@@ -377,7 +377,7 @@ class TestDismantle:
         target = tmp_path / "g.edges"
         save_edge_list(path_graph(5), target)
         weights_path = tmp_path / "w.csv"
-        metrics.save_weights(WeightVector.from_values([0.5, 0.7, 0.9]),
+        metrics.save_weights(WeightVector([0.5, 0.7, 0.9]),
                              weights_path)
         lp_path = tmp_path / "model.lp"
         code, out, err = run_cli(
@@ -637,6 +637,20 @@ class TestCompare:
         )
         assert code == 1
         assert "missing" in err
+
+    def test_repeated_gt_column_is_refused(self, capsys, tmp_path):
+        # csv.DictReader alone keeps the last cell, which scores 7/14
+        save_edge_list(path_graph(14), tmp_path / "graph_0.edges")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("graph_id,mean_estimate,mean_estimate\ngraph_0,5,7\n")
+        code, out, err = run_cli(
+            capsys, "compare", "--graphs", str(tmp_path), "--gt", str(gt),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {gt}: column 'mean_estimate' appears twice in the "
+            f"header\n"
+        )
 
     def test_uncovered_size_names_the_graph(self, capsys, tmp_path):
         graph_dir = tmp_path / "graphs"

@@ -320,6 +320,37 @@ class TestLoaderErrors:
         )
 
 
+    @pytest.mark.parametrize("load, text, column", [
+        (lambda p: load_survey_csv(p, p.parent),
+         "graph_id,participant_id,estimate,estimate\ng1,p1,1,2\n",
+         "estimate"),
+        (load_strength_gt_csv,
+         "graph_id,mean_estimate,mean_estimate\ng1,5,7\n", "mean_estimate"),
+        (load_strength_values_csv, "value,graph_id,value\n0.5,g1,0.9\n",
+         "value"),
+        (load_predictions_csv, "graph_id,members,graph_id\ng1,a,g2\n",
+         "graph_id"),
+        (load_ranked_gt_csv,
+         "graph_id,rank,members,vote_share,rank\ng1,1,a,50,2\n", "rank"),
+        (load_weights, "size,weight,weight\n1,0.5,0.9\n", "weight"),
+    ], ids=["survey", "strength_gt", "strength_values", "predictions",
+            "ranked_gt", "weights"])
+    def test_repeated_column_names_file(self, tmp_path, load, text, column):
+        # csv.DictReader keeps the last cell of a repeated column
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == (
+            f"{path}: column {column!r} appears twice in the header"
+        )
+
+    def test_trailing_commas_leave_empty_names(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("size,weight,,\n1,0.5,,\n")
+        assert load_weights(path).weights == (0.5,)
+
+
 _CSV_LOADERS = [
     (lambda p: load_survey_csv(p, p.parent),
      "graph_id,participant_id,estimate\ng1,p1,1\ng1,p2,2\n"),

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations
+from typing import Iterator
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -32,7 +36,7 @@ from netstrength.metrics import (
 )
 from netstrength.weights import default_weights
 
-ALL_ONES = WeightVector.from_values([1.0] * 16)
+ALL_ONES = WeightVector([1.0] * 16)
 OBJECTIVES = ("proposed", "cole1", "cole2", "gfp")
 
 
@@ -63,9 +67,8 @@ def residual_sizes(g: Graph, removed: tuple[int, ...]) -> list[int]:
 
 
 def oracle_objective(
-    g: Graph, removed: tuple[int, ...], objective: str, w: WeightVector | None
+    sizes: list[int], objective: str, w: WeightVector | None
 ) -> float:
-    sizes = residual_sizes(g, removed)
     if objective == "proposed":
         # grouped by size class, ascending, like the metric definition
         buckets = Counter(sizes)
@@ -77,22 +80,32 @@ def oracle_objective(
     return sum(s * s for s in sizes) / sum(sizes)
 
 
+@functools.cache
+def descending_subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every subset of ``range(n)``, by bitmask in descending order."""
+    return tuple(tuple(i for i in range(n) if mask >> i & 1)
+                 for mask in range((1 << n) - 1, -1, -1))
+
+
 def oracle_best_removal(
     g: Graph,
     k: int,
     objective: str,
     w: WeightVector | None = None,
     allow_fewer: bool = True,
+    values: dict[tuple[int, ...], float] | None = None,
 ) -> DismantleResult:
-    """Second enumerator: walks bitmasks in descending order."""
+    """Second enumerator: walks bitmasks in descending order. ``values``
+    maps each candidate set to its objective value; by default each is
+    computed from scratch."""
     maximize = objective == "cole1"
     best = None
     ties = 0
-    for mask in range((1 << g.n) - 1, -1, -1):
-        subset = tuple(i for i in range(g.n) if mask >> i & 1)
+    for subset in descending_subsets(g.n):
         if len(subset) > k or (not allow_fewer and len(subset) != k):
             continue
-        value = oracle_objective(g, subset, objective, w)
+        value = (oracle_objective(residual_sizes(g, subset), objective, w)
+                 if values is None else values[subset])
         if best is None:
             best, ties = (value, subset), 1
             continue
@@ -221,6 +234,24 @@ class TestExamples:
         assert result.to_json_dict()["removed"] == ["bob"]
 
 
+class TestNumpyWeights:
+    def test_float32_result_is_json(self):
+        # the vector stores floats, so the search runs in float64 on
+        # exactly the values the float32 weights hold
+        w32 = np.array(default_weights().weights, dtype=np.float32)
+        g = random_graph(random.Random(32), 12, 0.3)
+        result = best_removal(DismantleQuery(
+            graph=g, k=2, objective="proposed", weights=WeightVector(w32),
+        ))
+        assert type(result.residual_value) is float
+        assert json.loads(json.dumps(result.to_json_dict())) == (
+            result.to_json_dict())
+        assert result == best_removal(DismantleQuery(
+            graph=g, k=2, objective="proposed",
+            weights=WeightVector([float(v) for v in w32]),
+        ))
+
+
 class TestBudgetGuard:
     def test_default_limits(self):
         # 523,686 candidate sets, past the 500,000-set default cap
@@ -341,7 +372,7 @@ class TestArticulationKernel:
                 g = random_graph(rng, n, rng.uniform(0.1, 0.6))
                 weight_choices = [None]
                 if objective == "proposed":
-                    signed = WeightVector.from_values(
+                    signed = WeightVector(
                         [round(rng.uniform(-1, 2), 1)
                          for _ in range(rng.randint(1, n))],
                         EXTENSION_CLAMP,
@@ -377,7 +408,7 @@ class TestArticulationKernel:
             g = random_graph(rng, n, rng.uniform(0.2, 0.7))
             k = rng.randint(1, min(4, n - 1))
             allow_fewer = trial % 2 == 0
-            w = WeightVector.from_values(
+            w = WeightVector(
                 [rng.uniform(-1, 1) for _ in range(rng.randint(1, n - 1))]
             )
             sizes = range(k + 1) if allow_fewer else (k,)
@@ -412,7 +443,7 @@ class TestArticulationKernel:
         # found by a random search: the prefix plan meets a raising set
         # that leaves another uncovered size before the smallest one
         g = Graph.build(n, edges)
-        w = WeightVector.from_values([1.0] * cover)
+        w = WeightVector([1.0] * cover)
         errors = []
         for subset in combinations(range(n), k):
             try:
@@ -449,7 +480,7 @@ class TestArticulationKernel:
             g = Graph.build(n, set(random_graph(rng, n, 0.2).edges)
                             | {(0, u) for u in range(1, n)})
             k = rng.randint(2, min(4, n - 2))
-            w = WeightVector.from_values(
+            w = WeightVector(
                 [rng.uniform(-1, 1) for _ in range(rng.randint(2, n - k))]
             )
             first = None
@@ -482,6 +513,93 @@ class TestArticulationKernel:
         ))
         assert result == oracle_best_removal(g, 4, "proposed", default_weights())
         assert objective_calls[0] <= 45
+
+
+def labelled_graphs(n: int) -> Iterator[Graph]:
+    """Every graph on the nodes ``0..n-1``, one per subset of the pairs."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.build(n, [pair for i, pair in enumerate(pairs)
+                              if mask >> i & 1])
+
+
+# an error-policy vector that every component of two or more nodes
+# outgrows, so sets that leave different components raise different texts
+SINGLETON_ONLY = ("proposed", WeightVector((0.5,)))
+# covering weights, SINGLETON_ONLY and the three baselines
+AUDIT_OBJECTIVES = [
+    ("proposed", default_weights()),
+    SINGLETON_ONLY,
+    ("cole1", None),
+    ("cole2", None),
+    ("gfp", None),
+]
+
+
+class TestExhaustiveAudit:
+    """Every labelled graph on n <= 5 nodes, a seeded sample at n = 6 and
+    7, and the two-edge graphs on 7 nodes against the bitmask oracle:
+    every budget, objective and ``allow_fewer`` value, the removed set,
+    the value bit for bit and the ties, or the error text of the smallest
+    raising set. Sets come out of order, so random graphs test the
+    tie-break and the first error only by chance."""
+
+    @staticmethod
+    def audit(g: Graph, objectives=AUDIT_OBJECTIVES) -> None:
+        # residual sizes once per subset, each objective value once
+        residuals = {subset: residual_sizes(g, subset) for size in range(g.n)
+                     for subset in combinations(range(g.n), size)}
+        for objective, w in objectives:
+            values: dict[tuple[int, ...], float] = {}
+            first_error: dict[int, str] = {}  # by size, lexicographic
+            for subset, sizes in residuals.items():
+                try:
+                    values[subset] = oracle_objective(sizes, objective, w)
+                except WeightCoverageError as error:
+                    first_error.setdefault(len(subset), str(error))
+            for k in range(1, g.n):
+                for allow_fewer in (True, False):
+                    query = DismantleQuery(
+                        graph=g, k=k, objective=objective, weights=w,
+                        allow_fewer=allow_fewer,
+                    )
+                    error = next((first_error[size] for size in
+                                  (range(k + 1) if allow_fewer else (k,))
+                                  if size in first_error), None)
+                    if error is not None:
+                        with pytest.raises(WeightCoverageError) as info:
+                            best_removal(query)
+                        assert str(info.value) == error, (g, query)
+                        continue
+                    actual = best_removal(query)
+                    expected = oracle_best_removal(
+                        g, k, objective, w, allow_fewer, values)
+                    assert (actual.removed, actual.residual_value.hex(),
+                            actual.ties) == (
+                        expected.removed, expected.residual_value.hex(),
+                        expected.ties), (g, query)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_labelled_graph(self, n):
+        for g in labelled_graphs(n):
+            self.audit(g)
+
+    @pytest.mark.parametrize("n, count", [(6, 120), (7, 40)])
+    def test_seeded_sample(self, n, count):
+        rng = random.Random(f"audit:{n}")
+        pairs = list(combinations(range(n), 2))
+        for _ in range(count):
+            self.audit(Graph.build(n, [pair for pair in pairs
+                                       if rng.random() < 0.5]))
+
+    def test_first_raising_set_on_two_edge_graphs(self):
+        # the plan meets a set before a smaller one of its size only from
+        # size 3 on, and their error texts can differ only if 3 or more
+        # nodes remain, so not below n = 6; 4 of the 210 two-edge graphs
+        # on 7 nodes show it at k = 4, such as the edges (0, 3) and (0, 6)
+        pairs = list(combinations(range(7), 2))
+        for edges in combinations(pairs, 2):
+            self.audit(Graph.build(7, edges), [SINGLETON_ONLY])
 
 
 class TestPrefixPlan:
@@ -662,7 +780,7 @@ def digest_queries(seed="answer digest", count=300, sizes=(2, 13),
         g = random_graph(rng, n, rng.uniform(0.05, 0.7))
         w = None
         if objective == "proposed":
-            w = WeightVector.from_values(
+            w = WeightVector(
                 [round(rng.uniform(-1, 2), 1) for _ in range(rng.randint(1, n))],
                 rng.choice([EXTENSION_CLAMP, EXTENSION_ERROR]),
             )

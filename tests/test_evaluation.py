@@ -256,7 +256,7 @@ class TestCompareSuite:
 
     def test_uncovered_size_names_the_graph(self):
         graphs = [("a", path_graph(2)), ("b", path_graph(3))]
-        w = WeightVector.from_values([1.0, 1.0])
+        w = WeightVector([1.0, 1.0])
         with pytest.raises(WeightCoverageError) as excinfo:
             compare_suite(graphs, {"a": 2.0, "b": 3.0}, weights=w)
         assert str(excinfo.value).startswith("graph 'b': component size 3 ")
@@ -276,7 +276,7 @@ class TestCompareSuite:
 
     def test_csv_shape(self):
         graphs = [("a", path_graph(3))]
-        w = WeightVector.from_values([1.0, 1.0, 1.0])
+        w = WeightVector([1.0, 1.0, 1.0])
         result = compare_suite(graphs, {"a": 2.0}, weights=w)
         lines = result.to_csv().splitlines()
         assert lines[0] == (

@@ -28,7 +28,7 @@ from netstrength.metrics import (
 )
 from netstrength.weights import default_weights
 
-LINEAR_WEIGHTS = WeightVector.from_values(range(1, 13))
+LINEAR_WEIGHTS = WeightVector(range(1, 13))
 
 PATH3_LP = r"""\ component-size strength removal model: n=3, edges=2, k=1
 Minimize
@@ -82,7 +82,7 @@ End
 
 # negative, non-integer and unit coefficients ("- S_1", "- 1.5 S_2",
 # "+ y_1") and wrapped objective and indicator rows
-SIGNED_WEIGHTS = WeightVector.from_values(
+SIGNED_WEIGHTS = WeightVector(
     [-1.0, -0.75, 0.5, 1.25, -0.2, 0.9, 0.1, -2.5, 0.35, 1.0, -0.05, 0.6]
 )
 GNM12_LP_SHA256 = (
@@ -208,7 +208,7 @@ class TestEmission:
             emit_ilp(path_graph(3), 3, LINEAR_WEIGHTS)
 
     def test_short_weights_need_clamp(self):
-        short = WeightVector.from_values([0.5, 0.7])
+        short = WeightVector([0.5, 0.7])
         with pytest.raises(WeightCoverageError):
             emit_ilp(path_graph(4), 1, short)
         text = emit_ilp(path_graph(4), 1, short.with_policy(EXTENSION_CLAMP))
@@ -227,7 +227,7 @@ def lp_corpus():
         if index % 2:
             w = default_weights().with_policy(EXTENSION_CLAMP)
         else:
-            w = WeightVector.from_values(
+            w = WeightVector(
                 [round(rng.uniform(-2, 2), rng.choice([0, 1, 2]))
                  for _ in range(n)]
             )
@@ -269,7 +269,7 @@ def wide_corpus():
         for k in (1, 2):
             g = generate(GeneratorSpec(model="gnm", n=n, m=n + n // 3,
                                        seed=10 * n + k))[0]
-            yield g, k, WeightVector.from_values(
+            yield g, k, WeightVector(
                 [round(rng.uniform(-2, 2), rng.choice([0, 1, 2]))
                  for _ in range(n)]
             )
@@ -508,7 +508,7 @@ class TestSolverCrossCheck:
             n = rng.randint(3, 5)
             g = random_graph(rng, n, 0.5)
             k = rng.randint(1, n - 1)
-            w = WeightVector.from_values(range(1, n + 1))
+            w = WeightVector(range(1, n + 1))
             optimum, assignment = self.solve(g, k, w)
             enumerated = best_removal(DismantleQuery(
                 graph=g, k=k, objective="proposed", weights=w

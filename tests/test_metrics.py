@@ -32,7 +32,7 @@ from netstrength.weights import default_weights
 
 
 def all_ones(n: int) -> WeightVector:
-    return WeightVector.from_values([1.0] * n)
+    return WeightVector([1.0] * n)
 
 
 def permuted(g: Graph, rng: random.Random) -> Graph:
@@ -85,6 +85,29 @@ class TestWeightVector:
             "size,weight\n1,0.5\n2,0.25\n3,0.3333333333333333\n"
         )
         assert load_weights(path).weights == w.weights
+
+    def test_numpy_array_is_stored_as_floats(self):
+        w = WeightVector(np.array([0.5, 0.25, 1 / 3]))
+        assert w == WeightVector((0.5, 0.25, 1 / 3))
+        assert all(type(v) is float for v in w.weights)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_low_precision_weights_round_trip(self, tmp_path, dtype):
+        # the vector holds the float value of each entry, so the file gives
+        # back what it scored with, not the float64 parse of "0.1"
+        w = WeightVector(np.array([0.1, 0.3, 1 / 3], dtype=dtype))
+        path = tmp_path / "w.csv"
+        save_weights(w, path)
+        again = load_weights(path)
+        assert again.weights == tuple(float(v) for v in w.weights)
+        sizes = (1, 2, 3, 3)
+        assert score(sizes, "proposed", again) == score(sizes, "proposed", w)
+
+    def test_score_is_a_float_for_numpy_weights(self):
+        w = WeightVector(np.array([0.5, 0.1], dtype=np.float32))
+        value = score((1, 2, 2), "proposed", w)
+        assert type(value) is float
+        assert value == 0.5 + 2 * float(np.float32(0.1)) * 2
 
     def test_csv_rejects_gaps(self, tmp_path):
         path = tmp_path / "w.csv"

@@ -116,7 +116,7 @@ class TestFitWeights:
 
     def test_recovers_generating_weights(self):
         generating = [1.0, 0.72, 0.88, 0.61, 0.94, 0.57]
-        w_star = WeightVector.from_values(generating)
+        w_star = WeightVector(generating)
         suite = [
             ("iso", Graph.build(3, [])),
             ("p2", path_graph(2)),
