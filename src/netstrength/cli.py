@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -78,7 +79,31 @@ def cmd_strength(args: argparse.Namespace) -> int:
     return 0
 
 
+def _import_numpy_on_one_thread() -> None:
+    """Import numpy with OpenBLAS on one thread, unless the caller chose.
+
+    OpenBLAS sizes its thread pool from the first of three variables that
+    is set, once, when numpy loads it. Starting the pool is about half of
+    numpy's import time, and the fit's system (one row per graph, one
+    column per size) is far too small to use a second thread. The variable
+    is set for this import alone: the caller's environment is left as it
+    was, and an already loaded numpy keeps its pool.
+    """
+    if "numpy" in sys.modules or any(
+        name in os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+    ):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def cmd_fit_weights(args: argparse.Namespace) -> int:
+    _import_numpy_on_one_thread()
     from . import weights
     dataset = weights.load_survey_csv(args.survey, args.graphs)
     system = weights.build_system(dataset)

@@ -13,10 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .datasets import load_graph_by_id, parse_cell, read_rows
 from .graph import Graph, components
 from .metrics import WeightVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Bundled default calibration: weight of a size-i component, i = 1..30.
 _DEFAULT_WEIGHTS = (

@@ -973,6 +973,18 @@ def child_env() -> dict[str, str]:
             "PYTHONPATH": os.pathsep.join([src, path]) if path else src}
 
 
+# OpenBLAS takes its thread count from the first of these that is set
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def blas_env(**chosen: str) -> dict[str, str]:
+    """child_env() in which only ``chosen`` sets a BLAS thread count."""
+    env = {name: value for name, value in child_env().items()
+           if name not in BLAS_THREAD_VARS}
+    return {**env, **chosen}
+
+
 class TestEntryPoint:
     def test_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
@@ -1041,6 +1053,65 @@ class TestEntryPoint:
         assert [row["size"] for row in parse_csv(proc.stdout)] == [
             "1", "2", "3"
         ]
+
+    # every write to the three thread variables, and their values when
+    # numpy is imported, around one fit-weights run
+    BLAS_AUDIT = (
+        "import json, os, sys\n"
+        "if sys.argv[2] == 'numpy-loaded':\n"
+        "    import numpy\n"
+        "names = ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', "
+        "'OMP_NUM_THREADS')\n"
+        "events = []\n"
+        "def audit(event, args):\n"
+        "    if event in ('os.putenv', 'os.unsetenv') and "
+        "os.fsdecode(args[0]) in names:\n"
+        "        events.append([event, *map(os.fsdecode, args)])\n"
+        "    elif event == 'import' and args[0] == 'numpy':\n"
+        "        events.append([event, *map(os.environ.get, names)])\n"
+        "sys.addaudithook(audit)\n"
+        "before = dict(os.environ)\n"
+        "from netstrength.cli import main\n"
+        "code = main(sys.argv[3:])\n"
+        "with open(sys.argv[1], 'w') as out:\n"
+        "    json.dump({'events': events,\n"
+        "               'restored': dict(os.environ) == before}, out)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize("chosen, start, events", [
+        ({}, "fresh", [["os.putenv", "OPENBLAS_NUM_THREADS", "1"],
+                       ["import", "1", None, None],
+                       ["os.unsetenv", "OPENBLAS_NUM_THREADS"]]),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "fresh", [["import", "2", None, None]]),
+        ({"GOTO_NUM_THREADS": "2"}, "fresh", [["import", None, "2", None]]),
+        ({"OMP_NUM_THREADS": "2"}, "fresh", [["import", None, None, "2"]]),
+        ({}, "numpy-loaded", []),
+    ], ids=["unset", "openblas-set", "goto-set", "omp-set", "numpy-loaded"])
+    def test_fit_weights_pins_one_blas_thread_for_its_import_only(
+        self, tmp_path, chosen, start, events
+    ):
+        save_edge_list(path_graph(3), tmp_path / "g1.edges")
+        (tmp_path / "survey.csv").write_text(
+            "graph_id,participant_id,estimate\ng1,p1,2.5\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.BLAS_AUDIT, "audit.json", start,
+             "fit-weights", "--survey", "survey.csv", "--graphs", "."],
+            capture_output=True, text=True, env=blas_env(**chosen),
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        audit = json.loads((tmp_path / "audit.json").read_text())
+        assert audit == {"events": events, "restored": True}
+
+    def test_weights_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, netstrength.weights\n"
+             "assert 'numpy' not in sys.modules"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script_help(self):
         proc = subprocess.run(
@@ -1186,6 +1257,40 @@ class TestGoldenOutput:
         )
         assert (code, out) == (0, self.FIT_WEIGHTS)
         assert report.read_text() == self.FIT_REPORT
+
+    @pytest.mark.parametrize("ridge", [(), ("--lambda", "0.5")],
+                             ids=["lstsq", "ridge"])
+    def test_fit_weights_bytes_do_not_depend_on_blas_threads(
+        self, suite, tmp_path, ridge
+    ):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(
+            "graph_id,participant_id,estimate\n"
+            "graph_0,p1,5.5\ngraph_0,p2,6\ngraph_1,p1,7.25\n"
+            "graph_1,p2,8\ngraph_2,p1,3\ngraph_2,p3,4.5\n"
+        )
+        # --report leaves the weights on stdout, --out-weights the report
+        runs = {}
+        for threads, env in (("unset", blas_env()),
+                             ("two", blas_env(OPENBLAS_NUM_THREADS="2"))):
+            for flag in ("--report", "--out-weights"):
+                path = tmp_path / f"{threads}{flag}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "netstrength.cli", "fit-weights",
+                     "--survey", str(survey), "--graphs", str(suite),
+                     *ridge, flag, str(path)],
+                    capture_output=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+                runs[threads, flag] = (proc.stdout, proc.stderr,
+                                       path.read_bytes())
+        for flag in ("--report", "--out-weights"):
+            assert runs["unset", flag] == runs["two", flag]
+        if not ridge:
+            weights = self.FIT_WEIGHTS.encode()
+            report = self.FIT_REPORT.encode()
+            assert runs["unset", "--report"][::2] == (weights, report)
+            assert runs["unset", "--out-weights"][::2] == (report, weights)
 
     def test_fit_weights_logs_unseen_sizes(self, capsys, suite, tmp_path):
         survey = tmp_path / "survey.csv"

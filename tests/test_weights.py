@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
+import typing
 
 import numpy as np
 import pytest
 
 from conftest import disjoint_paths, path_graph
+from netstrength import weights
 from netstrength.datasets import save_edge_list
 from netstrength.graph import Graph
 from netstrength.metrics import WeightVector, load_weights, save_weights, sigma
@@ -279,3 +283,26 @@ class TestSurveyCsv:
             "lambda": result.regularization,
         })
         assert json.loads(line)["rank"] == result.rank
+
+
+class TestTypeHints:
+    def test_annotations_resolve_as_a_type_checker_reads_them(
+        self, monkeypatch
+    ):
+        # a second copy of the module, run with TYPE_CHECKING true, binds
+        # what a type checker binds; the package's copy never imports numpy
+        monkeypatch.setattr(typing, "TYPE_CHECKING", True)
+        name = "netstrength._weights_as_checked"
+        spec = importlib.util.spec_from_file_location(name, weights.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        assert typing.get_type_hints(module.DesignMatrix) == {
+            "matrix": np.ndarray, "target": np.ndarray,
+            "graph_ids": tuple[str, ...],
+        }
+        for annotated in (module.SurveyRecord, module.SurveyDataset,
+                          module.FitResult, module.default_weights,
+                          module.build_system, module.fit_weights,
+                          module.load_survey_csv):
+            typing.get_type_hints(annotated)
