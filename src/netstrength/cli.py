@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import datasets, metrics
 from .graph import components
@@ -45,11 +46,13 @@ def _metric_list(value: str) -> list[str]:
     return names
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_or_print(chunks: Iterable[str], out: str | None) -> None:
+    """Every command writes through here: to the file ``out``, or stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -72,10 +75,10 @@ def cmd_strength(args: argparse.Namespace) -> int:
     # written: a failure leaves no output
     sizes = components(graph)
     raws = [metrics.score(sizes, m, weight_vector) for m in selected]
-    sys.stdout.write(datasets.csv_text(
+    _write_or_print([datasets.csv_text(
         ["metric", "raw", "normalized"],
         [[m, raw, raw / graph.n] for m, raw in zip(selected, raws)],
-    ))
+    )], None)
     return 0
 
 
@@ -108,10 +111,7 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
     dataset = weights.load_survey_csv(args.survey, args.graphs)
     system = weights.build_system(dataset)
     result = weights.fit_weights(system, ridge=args.ridge)
-    if args.out_weights:
-        metrics.save_weights(result.weights, args.out_weights)
-    else:
-        metrics.write_weights(result.weights, sys.stdout)
+    _write_or_print([metrics.weights_csv(result.weights)], args.out_weights)
     report_line = json.dumps({
         "residual_norm": result.residual_norm,
         "rank": result.rank,
@@ -119,10 +119,9 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
         "graphs": len(system.graph_ids),
         "size_limit": system.size_limit,
     }, sort_keys=True)
-    if args.report:
-        Path(args.report).write_text(report_line + "\n", encoding="utf-8")
-    elif args.out_weights:
-        sys.stdout.write(report_line + "\n")
+    # the report goes to its file, or to stdout when the weights do not
+    if args.report or args.out_weights:
+        _write_or_print([report_line, "\n"], args.report)
     logger.info(
         "fit %d weights from %d graphs (residual %.6g, rank %d); %d size(s) "
         "absent from every surveyed graph got weight 0", system.size_limit,
@@ -151,16 +150,15 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
         raise ValueError(f"--emit-lp needs weights for sizes 1..{graph.n}, "
                          f"got {len(weight_vector)}; pass --clamp-weights")
     result = dismantle.best_removal(query)
-    # the model is written only after the search succeeds: a refused or
-    # failed run leaves no file behind
+    # the model is built after the search succeeds and before its file is
+    # opened: a refused or failed run or model leaves no file behind
     if args.emit_lp:
         from . import ilp
-        chunks = ilp.render_ilp(graph, args.k, weight_vector)
-        with open(args.emit_lp, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
+        _write_or_print(ilp.render_ilp(graph, args.k, weight_vector),
+                        args.emit_lp)
         logger.info("wrote model to %s", args.emit_lp)
     _write_or_print(
-        json.dumps(result.to_json_dict(), sort_keys=True) + "\n", args.out
+        [json.dumps(result.to_json_dict(), sort_keys=True), "\n"], args.out
     )
     return 0
 
@@ -188,16 +186,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _check_ids(args, preds, gt, "no ground truth for predicted graph")
         report = evaluation.match_stats(preds, gt)
         if args.out:
-            Path(args.out).write_text(report.detail_csv(), encoding="utf-8")
+            _write_or_print([report.detail_csv()], args.out)
         if args.summary_out:
-            Path(args.summary_out).write_text(
-                report.summary_csv(), encoding="utf-8"
-            )
+            _write_or_print([report.summary_csv()], args.summary_out)
         if args.csv:
-            sys.stdout.write(report.detail_csv())
-            sys.stdout.write(report.summary_csv())
+            _write_or_print([report.detail_csv(), report.summary_csv()], None)
         else:
-            print(report.format_table())
+            _write_or_print([report.format_table(), "\n"], None)
         return 0
     # strength mode: RMSE of normalized predictions vs normalized estimates,
     # to stdout only, so a match-mode output would silently go unwritten
@@ -217,8 +212,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pred_values.append(preds[graph_id])
         gt_values.append(gt[graph_id] / graph.n)
     value = evaluation.rmse(pred_values, gt_values)
-    sys.stdout.write(datasets.csv_text(["statistic", "value"],
-                                       [["rmse", value]]))
+    _write_or_print([datasets.csv_text(["statistic", "value"],
+                                       [["rmse", value]])], None)
     return 0
 
 
@@ -233,7 +228,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if "proposed" in args.metrics:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)
     result = evaluation.compare_suite(graphs, gt, args.metrics, weight_vector)
-    _write_or_print(result.to_csv(), args.out)
+    _write_or_print([result.to_csv()], args.out)
     return 0
 
 
@@ -334,15 +329,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    # one file per output: a second writer would overwrite the first
+    # no output may name another output or an input: it would overwrite it
+    written = ("out_weights", "report", "emit_lp", "out", "summary_out")
     outputs: dict[Path, str] = {}
-    for dest in ("out_weights", "report", "emit_lp", "out", "summary_out"):
-        if path := getattr(args, dest, None):
-            flag = "--" + dest.replace("_", "-")
+    for dest in written + ("graph", "survey", "pred", "gt", "weights"):
+        path = getattr(args, dest, None)
+        if path and not (dest == "weights" and path == "default"):
+            flag = dest if dest == "graph" else "--" + dest.replace("_", "-")
             path = Path(path).resolve()
-            clash = outputs.setdefault(path, flag)
+            clash = outputs.get(path, flag)
             if clash != flag:
                 parser.error(f"{clash} and {flag} name the same file {path}")
+            if dest in written:  # two inputs may name the same file
+                outputs[path] = flag
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

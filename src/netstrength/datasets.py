@@ -5,8 +5,8 @@ Generation uses the stdlib Mersenne Twister (``random.Random``); graph
 ``seed * 1_000_003 + index``, so suites are reproducible and individual
 graphs can be regenerated (or generated in parallel) without replaying the
 whole sequence. G(n, p) decides each canonical ``u < v`` pair independently
-in ascending order; G(n, m) samples ``m`` pairs without replacement from the
-canonical pair list.
+in ascending order; G(n, m) samples ``m`` distinct indices into the canonical
+pair list and decodes each to its pair, without building the list.
 
 Edge-list format: one edge per line as two whitespace-separated labels,
 ``#`` comments and blank lines ignored. The writer additionally emits a
@@ -84,16 +84,6 @@ class GeneratorSpec:
             if self.p is not None:
                 raise ValueError("gnm does not take an edge probability p")
 
-    def params(self) -> dict:
-        """JSON-ready parameter mapping for manifests."""
-        out: dict = {"model": self.model, "n": self.n, "seed": self.seed,
-                     "count": self.count}
-        if self.model == GNP:
-            out["p"] = self.p
-        else:
-            out["m"] = self.m
-        return out
-
 
 def _stream(seed: int, index: int) -> random.Random:
     return random.Random(seed * _SEED_STRIDE + index)
@@ -106,7 +96,14 @@ def _gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def _gnm(n: int, m: int, rng: random.Random) -> Graph:
-    edges = rng.sample(list(combinations(range(n), 2)), m)
+    # pair i of ``combinations(range(n), 2)`` is pair j = C - 1 - i counted
+    # back from (n - 2, n - 1); the last r(r + 1)/2 pairs start above
+    # n - 2 - r: pair j starts at n - 2 - r, r the largest with r(r + 1)/2 <= j
+    last = math.comb(n, 2) - 1
+    edges = []
+    for j in (last - i for i in rng.sample(range(last + 1), m)):
+        r = (math.isqrt(8 * j + 1) - 1) // 2
+        edges.append((n - 2 - r, n - 1 - j + r * (r + 1) // 2))
     return Graph.build(n, edges)
 
 
@@ -276,7 +273,9 @@ def write_suite(
         path = out / f"{stem}_{index}.edges"
         save_edge_list(graph, path)
         paths.append(path)
-    manifest = dict(spec.params(), files=[p.name for p in paths])
+    manifest = {key: value for key, value in vars(spec).items()
+                if value is not None}  # the other model's p or m is None
+    manifest["files"] = [p.name for p in paths]
     manifest_path = out / f"{stem}_manifest.json"
     manifest_path.write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -285,13 +284,13 @@ def write_suite(
 
 
 @contextmanager
-def _read_text(path: str | Path,
-               newline: str | None = None) -> Iterator[TextIO]:
-    """Open UTF-8 text, skipping a leading byte-order mark. A byte that is
-    not UTF-8 raises ``ValueError`` at ``file:line``: the decoder counts from
+def _read_text(path: str | Path) -> Iterator[TextIO]:
+    """Open UTF-8 text, skipping a leading byte-order mark; lines keep their
+    ``\\n``, ``\\r\\n`` or ``\\r`` ending, as ``csv`` needs. A byte that is not
+    UTF-8 raises ``ValueError`` at ``file:line``: the decoder counts from
     its own buffer, so this error path reads the bytes again for the line."""
     try:
-        with open(path, newline=newline, encoding="utf-8-sig") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError:
         lines = Path(path).read_bytes().splitlines()
@@ -318,7 +317,7 @@ def read_rows(
     ``file:line``, and so does a row with more cells than the header. Other
     columns missing from a short row read as ``None``.
     """
-    with _read_text(path, newline="") as handle:
+    with _read_text(path) as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         for index, name in enumerate(fields):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .datasets import csv_text, parse_cell, read_rows
 from .graph import EmptyGraphError, Graph, components
@@ -156,20 +156,18 @@ def gfp_score(g: Graph) -> StrengthValue:
     return compute_metric(g, "gfp")
 
 
-def write_weights(w: WeightVector, handle: TextIO) -> None:
-    """Write a ``size,weight`` CSV to ``handle``, one row per size 1..N.
+def weights_csv(w: WeightVector) -> str:
+    """The ``size,weight`` CSV of ``w``, one row per size 1..N.
 
     Weights are written with shortest round-trip decimal formatting, so
     save -> load -> save is byte-stable and no precision is ever lost.
     """
-    rows = enumerate(w.weights, start=1)
-    handle.write(csv_text(["size", "weight"], rows))
+    return csv_text(["size", "weight"], enumerate(w.weights, start=1))
 
 
 def save_weights(w: WeightVector, path: str | Path) -> None:
-    """Write the :func:`write_weights` CSV to ``path``."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        write_weights(w, handle)
+    """Write the :func:`weights_csv` table to ``path``."""
+    Path(path).write_text(weights_csv(w), encoding="utf-8")
 
 
 def load_weights(

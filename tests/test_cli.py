@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -748,6 +750,98 @@ class TestOutputClash:
             f"{target.resolve()}\n"
         )
         assert sorted(tmp_path.iterdir()) == before
+
+    def inputs(self, tmp_path):
+        """One valid file per input flag, so that only the clash check can
+        stop a command from overwriting it."""
+        save_edge_list(path_graph(4), tmp_path / "g.edges")
+        metrics.save_weights(WeightVector([0.5, 0.7]), tmp_path / "w.csv")
+        (tmp_path / "survey.csv").write_text(
+            "graph_id,participant_id,estimate\ng,p1,2\n")
+        (tmp_path / "gt.csv").write_text("graph_id,mean_estimate\ng,2.0\n")
+        for name in ("single_pred_proposed.csv", "single_gt.csv"):
+            (tmp_path / name).write_bytes(bundled_eval_path(name).read_bytes())
+        (tmp_path / "sub").mkdir()  # so that sub/.. opens without the check
+
+    @pytest.mark.parametrize("argv, output, source, name", [
+        (["dismantle", "IN", "--k", "1"], "--out", "graph", "g.edges"),
+        (["dismantle", "g.edges", "--k", "1", "--clamp-weights", "--weights",
+          "IN"], "--emit-lp", "--weights", "w.csv"),
+        (["fit-weights", "--survey", "IN", "--graphs", "."], "--out-weights",
+         "--survey", "survey.csv"),
+        (["fit-weights", "--survey", "IN", "--graphs", "."], "--report",
+         "--survey", "survey.csv"),
+        (["eval", "--mode", "match", "--pred", "IN", "--gt", "single_gt.csv"],
+         "--out", "--pred", "single_pred_proposed.csv"),
+        (["eval", "--mode", "match", "--pred", "single_pred_proposed.csv",
+          "--gt", "IN"], "--summary-out", "--gt", "single_gt.csv"),
+        (["compare", "--graphs", ".", "--gt", "IN"], "--out", "--gt",
+         "gt.csv"),
+        (["compare", "--graphs", ".", "--gt", "gt.csv", "--clamp-weights",
+          "--weights", "IN"], "--out", "--weights", "w.csv"),
+    ], ids=["dismantle-graph", "dismantle-weights", "fit-out-weights",
+            "fit-report", "eval-pred", "eval-gt", "compare-gt",
+            "compare-weights"])
+    def test_output_on_an_input_is_refused(
+        self, capsys, monkeypatch, tmp_path, argv, output, source, name
+    ):
+        self.inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / name
+        content = target.read_bytes()
+        argv = [str(target) if arg == "IN" else arg for arg in argv]
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [output, str(tmp_path / "sub" / ".." / name)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"\nnetstrength: error: {output} and {source} name the same file "
+            f"{target}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
+        assert target.read_bytes() == content
+
+    def test_two_inputs_may_name_one_file(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("graph_id,rank,members,vote_share\ng1,1,a,100\n")
+        code, out, _ = run_cli(capsys, "eval", "--mode", "match", "--csv",
+                               "--pred", str(table), "--gt", str(table))
+        assert code == 0
+        assert "exact_match,1.0\n" in out
+
+    def test_default_weights_are_not_a_file(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        save_edge_list(path_graph(4), tmp_path / "g.edges")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "dismantle", "g.edges", "--k", "1",
+                               "--out", "default")
+        assert (code, out) == (0, "")
+        assert json.loads((tmp_path / "default").read_text())["k"] == 1
+
+
+class TestOneWriter:
+    """Every file the CLI writes, and everything it prints to stdout, goes
+    through ``cli._write_or_print``: one ``open`` in write mode, no
+    ``write_text``."""
+
+    def test_one_open_and_no_write_text(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        writer = inspect.getsource(cli._write_or_print)
+        assert "write_text" not in source
+        assert source.count("open(") == 1
+        assert 'open(out, "w", encoding="utf-8")' in writer
+
+    def test_no_other_stdout_writes(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        rest = source.replace(inspect.getsource(cli._write_or_print), "")
+        assert "sys.stdout" not in rest
+        # the one print left is the error message, to stderr
+        assert re.findall(r"\bprint\(.*", rest) == [
+            'print(f"error: {exc}", file=sys.stderr)'
+        ]
 
 
 class TestGraphDirectory:

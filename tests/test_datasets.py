@@ -8,6 +8,8 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import netstrength
 from conftest import graphs
+from netstrength import datasets
 from netstrength.datasets import (
     EdgeListFile,
     EdgeListParseError,
@@ -107,6 +110,37 @@ class TestGenerate:
         mean = total / 1000
         sigma_one = math.sqrt(pairs * p * (1 - p) / 1000)
         assert abs(mean - pairs * p) <= 3 * sigma_one
+
+
+class TestGnmSampling:
+    """G(n, m) draws pair indices and decodes them; the graphs are those of
+    sampling the list of ``combinations`` pairs with the same stream."""
+
+    @staticmethod
+    def reference(n: int, m: int, seed: int) -> Graph:
+        rng = random.Random(seed)
+        return Graph.build(n, rng.sample(list(combinations(range(n), 2)), m))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 12, 30, 58, 141])
+    def test_same_graphs_as_sampling_the_pair_list(self, n):
+        pairs = math.comb(n, 2)
+        for m in sorted({0, 1, 2, 10, pairs // 3, pairs - 1, pairs}):
+            if 0 <= m <= pairs:
+                for seed in range(4):
+                    assert datasets._gnm(n, m, random.Random(seed)) == (
+                        self.reference(n, m, seed)
+                    ), (n, m, seed)
+
+    def test_memory_does_not_grow_with_the_pair_count(self):
+        # the pair list of n = 20,000 would hold about 2 * 10^8 tuples
+        tracemalloc.start()
+        try:
+            g = datasets._gnm(20_000, 10, random.Random(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 10
+        assert peak < 256 * 1024
 
 
 class TestEdgeListParsing:
@@ -409,6 +443,50 @@ class TestEncoding:
             load_edge_list(path)
 
 
+class TestLineEndings:
+    """``\\r\\n`` and lone ``\\r`` line ends read exactly like ``\\n``,
+    in edge lists (directives and comments included) and in every CSV."""
+
+    EDGES = "# comment\n#! node z\na b\n\nb c\n  # indented\nc a\na b\n"
+
+    @staticmethod
+    def write(path: Path, text: str, end: str) -> Path:
+        path.write_bytes(text.replace("\n", end).encode())
+        return path
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_edge_list_reads_as_with_lf(self, tmp_path, end):
+        lf = self.write(tmp_path / "lf.edges", self.EDGES, "\n")
+        other = self.write(tmp_path / "other.edges", self.EDGES, end)
+        with open(lf, encoding="utf-8") as handle:
+            expected = EdgeListFile.parse_lines(handle)
+        assert EdgeListFile.parse(other) == expected
+        assert expected.labels == ("z", "a", "b", "c")
+        assert expected.duplicate_count == 1
+        assert load_edge_list(other) == load_edge_list(lf)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("load, text", _CSV_LOADERS, ids=_CSV_IDS)
+    def test_csv_reads_as_with_lf(self, tmp_path, load, text, end):
+        save_edge_list(Graph.build(3, [(0, 1), (1, 2)]), tmp_path / "g1.edges")
+        lf = self.write(tmp_path / "lf.csv", text, "\n")
+        other = self.write(tmp_path / "other.csv", text, end)
+        assert load(other) == load(lf)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("load, text", [
+        (load_weights, "size,weight\n1,0.5\n2,x\n"),
+        (load_edge_list, "a b\nb c\na b c\n"),
+        (load_weights, "size,weight\n1,0.5\n2,0.\xe9\n"),
+        (load_edge_list, "a b\nb c\nc \xe9\xff\n"),
+    ], ids=["weights", "edge_list", "weights_latin1", "edge_list_latin1"])
+    def test_errors_name_the_same_line(self, tmp_path, load, text, end):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.replace("\n", end).encode("latin-1"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: "):
+            load(path)
+
+
 class TestRoundTrip:
     def test_save_load_preserves_labeled_structure(self, tmp_path):
         g = Graph.build(
@@ -514,6 +592,14 @@ class TestOneCsvWriterAndReader:
         assert "csv.writer(" in inspect.getsource(csv_text)
         assert "csv.DictReader(" in inspect.getsource(read_rows)
 
+    def test_every_text_file_opens_in_one_newline_mode(self):
+        assert list(inspect.signature(datasets._read_text).parameters) == [
+            "path"
+        ]
+        source = inspect.getsource(datasets)
+        assert source.count('newline=""') == 1
+        assert 'newline=""' in inspect.getsource(datasets._read_text)
+
     def test_only_datasets_imports_csv_and_io(self):
         importers = [
             p.name for p in self.SOURCES
@@ -535,6 +621,19 @@ class TestWriteSuite:
         assert manifest["p"] == 0.2
         assert manifest["seed"] == 7
         assert manifest["files"] == [p.name for p in paths]
+
+    @pytest.mark.parametrize("spec, text", [
+        (GeneratorSpec(model="gnp", n=10, p=0.2, seed=7, count=2),
+         '{\n  "count": 2,\n  "files": [\n    "s_0.edges",\n    "s_1.edges"'
+         '\n  ],\n  "model": "gnp",\n  "n": 10,\n  "p": 0.2,\n  "seed": 7\n}'
+         '\n'),
+        (GeneratorSpec(model="gnm", n=9, m=0, seed=13),
+         '{\n  "count": 1,\n  "files": [\n    "s_0.edges"\n  ],\n  "m": 0,'
+         '\n  "model": "gnm",\n  "n": 9,\n  "seed": 13\n}\n'),
+    ], ids=["gnp", "gnm"])
+    def test_manifest_bytes(self, tmp_path, spec, text):
+        write_suite(spec, tmp_path, stem="s")
+        assert (tmp_path / "s_manifest.json").read_bytes() == text.encode()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         spec = GeneratorSpec(model="gnm", n=9, m=7, seed=13, count=3)
