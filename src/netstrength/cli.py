@@ -46,6 +46,31 @@ def _metric_list(value: str) -> list[str]:
     return names
 
 
+def _check_outputs(args: argparse.Namespace,
+                   graph_ids: Iterable[str] = ()) -> None:
+    """No output may name another output or an input, the edge list in
+    ``--graphs`` of each of ``graph_ids`` included: it would overwrite it.
+    A clash raises ``ArgumentError``, on which ``main`` exits 2."""
+    written = ("out_weights", "report", "emit_lp", "out", "summary_out")
+    if not any(getattr(args, dest, None) for dest in written):
+        return  # nothing goes to a file, so nothing can be overwritten
+    named = [(dest, getattr(args, dest, None)) for dest in
+             written + ("graph", "survey", "pred", "gt", "weights")]
+    named += [("graphs", Path(args.graphs, f"{graph_id}.edges"))
+              for graph_id in graph_ids]
+    outputs: dict[Path, str] = {}
+    for dest, path in named:
+        if path and not (dest == "weights" and path == "default"):
+            flag = dest if dest == "graph" else "--" + dest.replace("_", "-")
+            path = Path(path).resolve()
+            clash = outputs.get(path, flag)
+            if clash != flag:
+                raise argparse.ArgumentError(
+                    None, f"{clash} and {flag} name the same file {path}")
+            if dest in written:  # two inputs may name the same file
+                outputs[path] = flag
+
+
 def _write_or_print(chunks: Iterable[str], out: str | None) -> None:
     """Every command writes through here: to the file ``out``, or stdout."""
     if out:
@@ -109,6 +134,7 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
     _import_numpy_on_one_thread()
     from . import weights
     dataset = weights.load_survey_csv(args.survey, args.graphs)
+    _check_outputs(args, (record.graph_id for record in dataset.records))
     system = weights.build_system(dataset)
     result = weights.fit_weights(system, ridge=args.ridge)
     _write_or_print([metrics.weights_csv(result.weights)], args.out_weights)
@@ -220,6 +246,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from . import evaluation
     gt = evaluation.load_strength_gt_csv(args.gt)
+    _check_outputs(args, gt)
     graphs = [
         (graph_id, datasets.load_graph_by_id(args.graphs, graph_id, args.gt))
         for graph_id in sorted(gt)
@@ -329,21 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    # no output may name another output or an input: it would overwrite it
-    written = ("out_weights", "report", "emit_lp", "out", "summary_out")
-    outputs: dict[Path, str] = {}
-    for dest in written + ("graph", "survey", "pred", "gt", "weights"):
-        path = getattr(args, dest, None)
-        if path and not (dest == "weights" and path == "default"):
-            flag = dest if dest == "graph" else "--" + dest.replace("_", "-")
-            path = Path(path).resolve()
-            clash = outputs.get(path, flag)
-            if clash != flag:
-                parser.error(f"{clash} and {flag} name the same file {path}")
-            if dest in written:  # two inputs may name the same file
-                outputs[path] = flag
     try:
+        _check_outputs(args)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -182,17 +182,19 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
     also prices the empty set. ``memo`` maps a prefix's component sizes,
     then a split, to ``sign`` times its value; a split that raises is not
     kept. Sets come out of order, so the winner and the first raising set
-    are the smallest sorted ones of their size.
+    are the smallest sorted ones of their size. Each size keeps its own
+    ``(value, ties, winner)`` record; the answer is the smallest size at
+    the best value, with the ties of every size at that value.
     """
     _check_budget(q)
     sign = -1.0 if q.objective in _MAXIMIZED else 1.0
-    best_set: tuple[int, ...] = ()
-    best = 0.0
-    ties = 0
+    records: list[tuple[float, int, tuple[int, ...]]] = []
     memo: dict[tuple[int, ...], dict] = {}
     entries = 0
     raising: tuple[tuple[int, ...], WeightCoverageError] | None = None
     for size in filter(None, _candidate_sizes(q.k, q.allow_fewer)):
+        # (n,) sorts after every set of node ids, so it is never a winner
+        best, ties, best_set = math.inf, 0, (q.graph.n,)
         for prefix, candidates in _plan(q.graph.n, size - 1):
             if raising:  # only a smaller set can be the first to raise
                 candidates = [c for c in candidates
@@ -201,8 +203,8 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
                     continue
             comp_sizes, comp_of, pieces = _split(q.graph, prefix)
             if q.allow_fewer and not prefix:  # the empty set, priced first
-                best, ties = sign * _objective_value(
-                    comp_sizes, q.objective, q.weights), 1
+                records.append((sign * _objective_value(
+                    comp_sizes, q.objective, q.weights), 1, ()))
             # the residual is every other component plus the pieces of c's
             # own one, so the component sizes, that one's size and the
             # pieces fix the value; an uncut split is keyed by the bare size
@@ -210,8 +212,7 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
                 memo.clear()
                 entries = 0
             split_values = memo.setdefault(tuple(comp_sizes), {})
-            # only a prefix's first tie can be a smaller set of this size
-            tied = len(best_set) < size
+            tied = False  # only a prefix's first tie can be a smaller set
             for c in candidates:
                 index = comp_of[c]
                 cut = pieces.get(c)
@@ -230,21 +231,22 @@ def best_removal(q: DismantleQuery) -> DismantleResult:
                         raising = tuple(sorted(prefix + (c,))), error
                         break
                     entries += 1
-                if value < best or not ties:
-                    best_set = tuple(sorted(prefix + (c,)))
-                    best, ties, tied = value, 1, True
-                elif value == best:
+                if value < best:  # a new best restarts the size's record
+                    best, ties, best_set, tied = value, 0, (q.graph.n,), False
+                if value == best:
                     ties += 1
                     if not tied:
                         tied = True
                         best_set = min(best_set, tuple(sorted(prefix + (c,))))
         if raising:
             raise raising[1]
+        records.append((best, ties, best_set))
+    best, _, best_set = min(records, key=lambda record: record[0])
     return DismantleResult(
         removed=best_set,
         labels=tuple(q.graph.label(u) for u in best_set),
         residual_value=sign * best,
         objective=q.objective,
         k=q.k,
-        ties=ties,
+        ties=sum(count for value, count, _ in records if value == best),
     )

@@ -78,9 +78,6 @@ class Graph:
             raise ValueError(f"unknown node id {node}")
         return self.labels[node] if self.labels is not None else str(node)
 
-    def node_labels(self) -> tuple[str, ...]:
-        return tuple(self.label(u) for u in range(self.n))
-
 
 def components(g: Graph, removed: Iterable[int] = ()) -> tuple[int, ...]:
     """Component sizes of ``g`` without ``removed``, from ``_split``.

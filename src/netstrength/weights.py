@@ -13,14 +13,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .datasets import load_graph_by_id, parse_cell, read_rows
 from .graph import Graph, components
 from .metrics import WeightVector
 
 if TYPE_CHECKING:
-    import numpy as np
+    from numpy import ndarray
+else:  # annotations resolve at run time without loading numpy
+    ndarray = Any
 
 # Bundled default calibration: weight of a size-i component, i = 1..30.
 _DEFAULT_WEIGHTS = (
@@ -77,8 +79,8 @@ class DesignMatrix:
     observed anywhere in the dataset.
     """
 
-    matrix: np.ndarray
-    target: np.ndarray
+    matrix: ndarray
+    target: ndarray
     graph_ids: tuple[str, ...]
 
     @property

@@ -1,11 +1,23 @@
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import netstrength
 from netstrength.graph import Graph
+
+
+def child_env() -> dict[str, str]:
+    """Environment in which a child interpreter imports the same package
+    tree as the tests, installed or not."""
+    src = str(Path(netstrength.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, path]) if path else src}
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -5,7 +5,6 @@ import csv
 import inspect
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -16,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import netstrength
-from conftest import disjoint_paths, path_graph
+from conftest import child_env, disjoint_paths, path_graph
 from netstrength import cli, metrics
 from netstrength.cli import main
 from netstrength.datasets import (
@@ -779,9 +777,17 @@ class TestOutputClash:
          "gt.csv"),
         (["compare", "--graphs", ".", "--gt", "gt.csv", "--clamp-weights",
           "--weights", "IN"], "--out", "--weights", "w.csv"),
+        # an edge list the command reads from --graphs, named by a CSV id
+        (["compare", "--graphs", ".", "--gt", "gt.csv", "--clamp-weights"],
+         "--out", "--graphs", "g.edges"),
+        (["fit-weights", "--survey", "survey.csv", "--graphs", "."],
+         "--out-weights", "--graphs", "g.edges"),
+        (["fit-weights", "--survey", "survey.csv", "--graphs", "."],
+         "--report", "--graphs", "g.edges"),
     ], ids=["dismantle-graph", "dismantle-weights", "fit-out-weights",
             "fit-report", "eval-pred", "eval-gt", "compare-gt",
-            "compare-weights"])
+            "compare-weights", "compare-graphs", "fit-graphs-out-weights",
+            "fit-graphs-report"])
     def test_output_on_an_input_is_refused(
         self, capsys, monkeypatch, tmp_path, argv, output, source, name
     ):
@@ -1056,15 +1062,6 @@ class TestFuzz:
         if code == 1:
             last = err.getvalue().splitlines()[-1]
             assert last.startswith("error: "), (argv, err.getvalue())
-
-
-def child_env() -> dict[str, str]:
-    """Environment in which a child interpreter imports the same package
-    tree as the tests, installed or not."""
-    src = str(Path(netstrength.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join([src, path]) if path else src}
 
 
 # OpenBLAS takes its thread count from the first of these that is set

@@ -150,7 +150,7 @@ class TestEdgeListParsing:
         g = load_edge_list(path)
         assert g.n == 3
         assert g.edge_count == 2
-        assert g.node_labels() == ("0", "1", "2")
+        assert g.labels == ("0", "1", "2")
 
     def test_duplicates_and_self_loops_counted(self):
         parsed = EdgeListFile.parse_lines(
@@ -408,7 +408,7 @@ class TestEncoding:
         path = tmp_path / "t.edges"
         path.write_bytes(self.BOM + b"a b\nb c\nc a\n")
         g = load_edge_list(path)
-        assert (g.n, g.node_labels(), components(g)) == (3, ("a", "b", "c"),
+        assert (g.n, g.labels, components(g)) == (3, ("a", "b", "c"),
                                                           (3,))
 
     @pytest.mark.parametrize("load, text", _CSV_LOADERS, ids=_CSV_IDS)
@@ -496,7 +496,7 @@ class TestRoundTrip:
         save_edge_list(g, path)
         again = load_edge_list(path)
         assert again.n == g.n
-        assert set(again.node_labels()) == set(g.node_labels())
+        assert set(again.labels) == set(g.labels)
         assert labeled_edges(again) == labeled_edges(g)
 
     @pytest.mark.parametrize("labels", [
@@ -530,7 +530,7 @@ class TestRoundTrip:
             save_edge_list(g, path)
             again = load_edge_list(path)
             assert again.n == g.n
-            assert set(again.node_labels()) == set(g.node_labels())
+            assert set(again.labels) == set(map(g.label, range(g.n)))
             assert labeled_edges(again) == labeled_edges(g)
 
     @given(graphs(max_n=14))
@@ -540,7 +540,7 @@ class TestRoundTrip:
             save_edge_list(g, path)
             again = load_edge_list(path)
         assert again.n == g.n
-        assert set(again.node_labels()) == set(g.node_labels())
+        assert set(again.labels) == set(map(g.label, range(g.n)))
         assert labeled_edges(again) == labeled_edges(g)
 
 

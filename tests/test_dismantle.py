@@ -224,6 +224,17 @@ class TestExamples:
         assert result.removed == (0,)
         assert result.residual_value == 2.0
         assert result.ties == 3
+        # on the 2-node path with w = (2, 1) the empty set (one pair) and
+        # both single removals (one singleton) all leave strength 2: the
+        # smallest size wins and the ties count both sizes
+        w = WeightVector([2.0, 1.0])
+        for allow_fewer, removed, ties in ((True, (), 3), (False, (0,), 2)):
+            result = best_removal(DismantleQuery(
+                graph=path_graph(2), k=1, objective="proposed", weights=w,
+                allow_fewer=allow_fewer,
+            ))
+            assert (result.removed, result.residual_value, result.ties) == (
+                removed, 2.0, ties)
 
     def test_labels_reported(self):
         g = Graph.build(3, [(0, 1), (1, 2)], labels=["alice", "bob", "eve"])

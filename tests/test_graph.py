@@ -61,7 +61,7 @@ class TestConstruction:
 
     def test_default_labels_are_ids(self):
         g = Graph.build(3, [(0, 1)])
-        assert g.node_labels() == ("0", "1", "2")
+        assert tuple(map(g.label, range(g.n))) == ("0", "1", "2")
 
     @given(graphs(max_n=10))
     def test_edge_order_does_not_matter(self, g: Graph):
@@ -149,7 +149,7 @@ class TestRemoveNodes:
     def test_labels_follow_survivors(self):
         g = Graph.build(4, [(0, 1), (2, 3)], labels=["a", "b", "c", "d"])
         residual = remove_nodes(g, [1])
-        assert residual.node_labels() == ("a", "c", "d")
+        assert residual.labels == ("a", "c", "d")
         assert residual.edges == frozenset({(1, 2)})
 
     @given(graphs(max_n=12))

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 import sys
 import typing
 
 import numpy as np
 import pytest
 
-from conftest import disjoint_paths, path_graph
+from conftest import child_env, disjoint_paths, path_graph
 from netstrength import weights
 from netstrength.datasets import save_edge_list
 from netstrength.graph import Graph
@@ -306,3 +307,17 @@ class TestTypeHints:
                           module.build_system, module.fit_weights,
                           module.load_survey_csv):
             typing.get_type_hints(annotated)
+
+    def test_annotations_resolve_at_run_time_without_numpy(self):
+        # a fresh interpreter, so that no other test has loaded numpy
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, typing\n"
+             "from netstrength.weights import DesignMatrix\n"
+             "hints = typing.get_type_hints(DesignMatrix)\n"
+             "assert hints == {'matrix': typing.Any, 'target': typing.Any,\n"
+             "                 'graph_ids': tuple[str, ...]}, hints\n"
+             "assert 'numpy' not in sys.modules"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
