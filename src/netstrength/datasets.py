@@ -44,14 +44,6 @@ GNM = "gnm"
 _SEED_STRIDE = 1_000_003
 
 
-class EdgeListParseError(ValueError):
-    """Malformed edge-list content; carries the offending line number."""
-
-    def __init__(self, message: str, line_no: int):
-        super().__init__(message)
-        self.line_no = line_no
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters for one generated suite of random graphs."""
@@ -121,15 +113,14 @@ def generate(spec: GeneratorSpec) -> list[Graph]:
 
 @dataclass(frozen=True)
 class EdgeListFile:
-    """Parsed edge-list content, still at the label level.
+    """A parsed edge list: its graph and the input lines it dropped.
 
-    ``labels`` follow first appearance order; ``edges`` keep the first
-    orientation of each distinct unordered label pair. Dropped input lines
-    are tallied in ``duplicate_count`` and ``self_loop_count``.
+    Node ids follow each label's first appearance, ``#! node`` directives
+    included. A pair seen again, in either orientation, is tallied in
+    ``duplicate_count`` and a self-loop in ``self_loop_count``.
     """
 
-    labels: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    graph: Graph
     duplicate_count: int
     self_loop_count: int
 
@@ -142,46 +133,31 @@ class EdgeListFile:
     def parse_lines(
         cls, lines: Iterable[str], source: str | None = None
     ) -> "EdgeListFile":
-        labels: dict[str, None] = {}  # insertion order is first appearance
-        edges: dict[frozenset[str], tuple[str, str]] = {}
+        ids: dict[str, int] = {}
+        edges: set[tuple[int, int]] = set()
         edge_lines = self_loops = 0
         for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if line.startswith("#!"):
                 tokens = line[2:].split()
                 if len(tokens) != 2 or tokens[0] != "node":
-                    raise EdgeListParseError(
-                        f"{source or '<edge list>'}:{line_no}: unknown "
-                        f"directive {line!r}",
-                        line_no,
-                    )
-                labels[tokens[1]] = None
+                    raise ValueError(f"{source or '<edge list>'}:{line_no}: "
+                                     f"unknown directive {line!r}")
+                ids.setdefault(tokens[1], len(ids))
             elif line and not line.startswith("#"):
                 tokens = line.split()
                 if len(tokens) != 2:
-                    raise EdgeListParseError(
-                        f"{source or '<edge list>'}:{line_no}: expected two "
-                        f"labels, got {len(tokens)}",
-                        line_no,
-                    )
-                u, v = tokens
-                labels[u] = labels[v] = None
+                    raise ValueError(f"{source or '<edge list>'}:{line_no}: "
+                                     f"expected two labels, got {len(tokens)}")
+                u = ids.setdefault(tokens[0], len(ids))
+                v = ids.setdefault(tokens[1], len(ids))
                 if u == v:
                     self_loops += 1
                 else:
                     edge_lines += 1
-                    edges.setdefault(frozenset(tokens), (u, v))
-        return cls(
-            labels=tuple(labels),
-            edges=tuple(edges.values()),
-            duplicate_count=edge_lines - len(edges),
-            self_loop_count=self_loops,
-        )
-
-    def to_graph(self) -> Graph:
-        ids = {label: i for i, label in enumerate(self.labels)}
-        edges = [(ids[u], ids[v]) for u, v in self.edges]
-        return Graph.build(len(self.labels), edges, labels=self.labels)
+                    edges.add((u, v) if u < v else (v, u))
+        return cls(Graph.build(len(ids), edges, ids),
+                   edge_lines - len(edges), self_loops)
 
 
 def load_edge_list(path: str | Path) -> Graph:
@@ -195,7 +171,7 @@ def load_edge_list(path: str | Path) -> Graph:
             "%s: dropped %d duplicate edge(s) and %d self-loop(s)",
             path, parsed.duplicate_count, parsed.self_loop_count,
         )
-    return parsed.to_graph()
+    return parsed.graph
 
 
 def graph_id_row(source: str | Path, graph_id: str) -> str:
@@ -360,13 +336,14 @@ def parse_cell(
 ) -> float:
     """Read ``row[column]`` as a finite ``float``, or an ``int`` when
     ``kind`` is ``int``; anything else raises ``ValueError`` naming
-    ``file:line`` and the column."""
+    ``file:line`` and the column. Python reads more than a CSV means:
+    digit separators (``2_5``) and non-ASCII digits are refused."""
     text = row[column]
     try:
         value = kind(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and text.isascii() and "_" not in text):
         expected = "an integer" if kind is int else "a finite number"
         raise ValueError(
             f"{path}:{line_no}: {column} must be {expected}, got {text!r}"

@@ -73,6 +73,13 @@ class DismantleQuery:
             )
         if self.objective == "proposed" and self.weights is None:
             raise ValueError("the proposed objective requires a weight vector")
+        # every partial sum of a residual's strength, rounding included, is
+        # within this bound, so no pricing order can meet inf or NaN
+        n = self.graph.n
+        if self.objective == "proposed" and not math.isfinite(
+                2 * n * max(map(abs, self.weights.weights[:n]))):
+            raise ValueError(f"weights for sizes 1..{n} could overflow a "
+                             f"float in the strength of a {n}-node graph")
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,8 @@ def score(
     With ``n = sum(sizes)`` nodes and ``c = len(sizes)`` components:
 
     * ``proposed``  ``sum(i * w_i * count_i)``, summed per size class in
-      ascending size order; ``w`` is required
+      ascending size order; ``w`` is required, and a sum that overflows a
+      float raises ``ValueError``
     * ``cole1``     ``n / c``
     * ``cole2``     the largest component size
     * ``gfp``       ``sum(n_i^2) / n``
@@ -109,6 +110,8 @@ def score(
         raw = 0.0
         for size in sorted(set(sizes)):
             raw += size * w.value(size) * sizes.count(size)
+        if not math.isfinite(raw):
+            raise ValueError(f"proposed strength is not finite: {raw}")
         return raw
     if metric_id == "cole1":
         return sum(sizes) / len(sizes)
@@ -165,16 +168,11 @@ def weights_csv(w: WeightVector) -> str:
     return csv_text(["size", "weight"], enumerate(w.weights, start=1))
 
 
-def save_weights(w: WeightVector, path: str | Path) -> None:
-    """Write the :func:`weights_csv` table to ``path``."""
-    Path(path).write_text(weights_csv(w), encoding="utf-8")
-
-
 def load_weights(
     path: str | Path,
     extension_policy: str = EXTENSION_ERROR,
 ) -> WeightVector:
-    """Read a ``size,weight`` CSV produced by :func:`save_weights`."""
+    """Read a ``size,weight`` CSV as :func:`weights_csv` writes it."""
     values: list[float] = []
     for line_no, row in read_rows(path, ("size", "weight")):
         size = parse_cell(path, line_no, row, "size", int)

@@ -29,8 +29,8 @@ from netstrength.metrics import (
     cole2,
     gfp_score,
     load_weights,
-    save_weights,
     sigma,
+    weights_csv,
 )
 from netstrength.weights import (
     SurveyDataset,
@@ -74,11 +74,11 @@ def test_bundled_weight_table_fidelity(tmp_path):
     for size, expected in enumerate(EXPECTED_DEFAULTS, start=1):
         assert w.value(size) == expected  # exact float of the decimal string
     path = tmp_path / "weights.csv"
-    save_weights(w, path)
+    path.write_text(weights_csv(w))
     reloaded = load_weights(path)
     assert reloaded.weights == w.weights  # bit-for-bit values
     first_bytes = path.read_bytes()
-    save_weights(reloaded, path)
+    path.write_text(weights_csv(reloaded))
     assert path.read_bytes() == first_bytes  # byte-stable decimal strings
     for line, original in zip(
         path.read_text().splitlines()[1:], w.weights

@@ -377,8 +377,8 @@ class TestDismantle:
         target = tmp_path / "g.edges"
         save_edge_list(path_graph(5), target)
         weights_path = tmp_path / "w.csv"
-        metrics.save_weights(WeightVector([0.5, 0.7, 0.9]),
-                             weights_path)
+        weights_path.write_text(
+            metrics.weights_csv(WeightVector([0.5, 0.7, 0.9])))
         lp_path = tmp_path / "model.lp"
         code, out, err = run_cli(
             capsys, "dismantle", str(target), "--k", "2", "--objective",
@@ -682,6 +682,27 @@ class TestCompare:
         assert "metric 'cole2' given twice" in capsys.readouterr().err
 
 
+class TestOverflowingWeights:
+    """Finite weights whose strength overflows a float are refused: no NaN
+    (not JSON) or nan reaches stdout."""
+
+    @pytest.mark.parametrize("command", [
+        ["dismantle", "{dir}/g.edges", "--k", "1"],
+        ["strength", "{dir}/g.edges"],
+        ["compare", "--graphs", "{dir}", "--gt", "{dir}/gt.csv"],
+    ], ids=["dismantle", "strength", "compare"])
+    def test_refused(self, capsys, tmp_path, command):
+        (tmp_path / "g.edges").write_text("a b\nc d\n#! node e\n#! node f\n")
+        (tmp_path / "w.csv").write_text("size,weight\n1,1e308\n2,-1e308\n")
+        (tmp_path / "gt.csv").write_text("graph_id,mean_estimate\ng,2.0\n")
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        code, out, err = run_cli(capsys, *argv, "--weights",
+                                 str(tmp_path / "w.csv"), "--clamp-weights")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestEncoding:
     """Input that is not UTF-8 exits 1 naming the file and line, for both
     text readers."""
@@ -753,7 +774,8 @@ class TestOutputClash:
         """One valid file per input flag, so that only the clash check can
         stop a command from overwriting it."""
         save_edge_list(path_graph(4), tmp_path / "g.edges")
-        metrics.save_weights(WeightVector([0.5, 0.7]), tmp_path / "w.csv")
+        (tmp_path / "w.csv").write_text(
+            metrics.weights_csv(WeightVector([0.5, 0.7])))
         (tmp_path / "survey.csv").write_text(
             "graph_id,participant_id,estimate\ng,p1,2\n")
         (tmp_path / "gt.csv").write_text("graph_id,mean_estimate\ng,2.0\n")

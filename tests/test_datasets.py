@@ -21,7 +21,6 @@ from conftest import graphs
 from netstrength import datasets
 from netstrength.datasets import (
     EdgeListFile,
-    EdgeListParseError,
     GeneratorSpec,
     bundled_eval_path,
     csv_text,
@@ -158,47 +157,49 @@ class TestEdgeListParsing:
         )
         assert parsed.duplicate_count == 2
         assert parsed.self_loop_count == 1
-        assert parsed.edges == (("a", "b"), ("b", "c"))
-        assert parsed.to_graph().edge_count == 2
+        assert labeled_edges(parsed.graph) == {
+            frozenset(("a", "b")), frozenset(("b", "c"))
+        }
+        assert parsed.graph.labels == ("a", "b", "c")
 
     def test_comments_and_blanks_ignored(self):
         parsed = EdgeListFile.parse_lines(
             ["# a comment", "", "  ", "x y", "# another"]
         )
-        assert parsed.labels == ("x", "y")
+        assert parsed.graph.labels == ("x", "y")
 
     def test_malformed_line_reports_number(self):
-        with pytest.raises(EdgeListParseError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             EdgeListFile.parse_lines(["a b", "a b c"])
-        assert excinfo.value.line_no == 2
+        assert str(excinfo.value) == (
+            "<edge list>:2: expected two labels, got 3"
+        )
 
     def test_unknown_directive_rejected(self):
-        with pytest.raises(EdgeListParseError):
+        with pytest.raises(ValueError, match="^<edge list>:1: unknown "):
             EdgeListFile.parse_lines(["#! frobnicate x"])
 
     def test_node_directive_preserves_isolates(self):
-        parsed = EdgeListFile.parse_lines(["#! node lone", "a b"])
-        g = parsed.to_graph()
+        g = EdgeListFile.parse_lines(["#! node lone", "a b"]).graph
         assert g.n == 3
         assert g.label(0) == "lone"
 
     def test_plain_node_comment_is_not_a_directive(self):
         # only "#!" marks a directive; "# node ..." stays a comment
         parsed = EdgeListFile.parse_lines(["# node counts follow", "a b"])
-        assert parsed.labels == ("a", "b")
+        assert parsed.graph.labels == ("a", "b")
 
     def test_first_appearance_ordering(self):
-        parsed = EdgeListFile.parse_lines(["b c", "a b"])
-        assert parsed.labels == ("b", "c", "a")
-        g = parsed.to_graph()
+        g = EdgeListFile.parse_lines(["b c", "a b"]).graph
+        assert g.labels == ("b", "c", "a")
         assert labeled_edges(g) == {
             frozenset(("b", "c")), frozenset(("a", "b"))
         }
 
 
 def reference_parse_lines(lines, source=None):
-    """The edge-list reader before one dict per concept, as a reference:
-    ``(labels, edges, duplicate_count, self_loop_count)``."""
+    """The label-level edge-list reader of earlier versions, as a
+    reference: ``(labels, edges, duplicate_count, self_loop_count)``."""
     labels = []
     seen = set()
     edges = []
@@ -218,10 +219,9 @@ def reference_parse_lines(lines, source=None):
         if line.startswith("#!"):
             tokens = line[2:].split()
             if len(tokens) != 2 or tokens[0] != "node":
-                raise EdgeListParseError(
+                raise ValueError(
                     f"{source or '<edge list>'}:{line_no}: unknown "
-                    f"directive {line!r}",
-                    line_no,
+                    f"directive {line!r}"
                 )
             register(tokens[1])
             continue
@@ -229,10 +229,9 @@ def reference_parse_lines(lines, source=None):
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise EdgeListParseError(
+            raise ValueError(
                 f"{source or '<edge list>'}:{line_no}: expected two "
-                f"labels, got {len(tokens)}",
-                line_no,
+                f"labels, got {len(tokens)}"
             )
         u, v = tokens
         if u == v:
@@ -251,15 +250,17 @@ def reference_parse_lines(lines, source=None):
 
 
 def parse_outcome(parse, lines, source):
-    """What a reader makes of ``lines``: its fields, or its error."""
+    """What a reader makes of ``lines``: its labels, labelled edge set and
+    dropped-line counts, or its error."""
     try:
         result = parse(lines, source)
-    except EdgeListParseError as error:
-        return type(error), error.line_no, str(error)
+    except ValueError as error:
+        return type(error), str(error)
     if isinstance(result, EdgeListFile):
-        return (result.labels, result.edges, result.duplicate_count,
-                result.self_loop_count)
-    return result
+        return (result.graph.labels, labeled_edges(result.graph),
+                result.duplicate_count, result.self_loop_count)
+    labels, edges, duplicates, self_loops = result
+    return labels, set(map(frozenset, edges)), duplicates, self_loops
 
 
 LABEL = st.sampled_from(["a", "b", "c", "d", "#x"])
@@ -323,11 +324,24 @@ class TestLoaderErrors:
          "graph_id,rank,members,vote_share\ng1,1,a,0.5\ng1,x,b,0.5\n"),
         (load_weights, "size,weight\n1,0.5\n2,x\n"),
         (load_edge_list, "a b\nb c\na b c\n"),
+        # Python reads these as numbers; a CSV cell does not mean them
+        (load_weights, "size,weight\n1,0.5\n2,0_7\n"),
+        (load_weights, "size,weight\n1,0.5\n\u0662,0.7\n"),
+        (lambda p: load_survey_csv(p, p.parent),
+         "graph_id,participant_id,estimate\ng1,p1,1\ng1,p2,2_5\n"),
+        (lambda p: load_survey_csv(p, p.parent),
+         "graph_id,participant_id,estimate\ng1,p1,1\ng1,p2,\u0662\n"),
+        (load_strength_gt_csv, "graph_id,mean_estimate\ng1,1\ng2,\uff11\n"),
+        (load_ranked_gt_csv,
+         "graph_id,rank,members\ng1,1,a\ng1,1_0,b\n"),
     ], ids=["survey", "strength_gt", "strength_values", "predictions",
-            "ranked_gt", "weights", "edge_list"])
+            "ranked_gt", "weights", "edge_list", "weights-separator",
+            "weights-arabic-indic-size", "survey-separator",
+            "survey-arabic-indic", "strength_gt-fullwidth",
+            "ranked_gt-separator"])
     def test_bad_cell_names_file_and_line(self, tmp_path, load, text):
         path = tmp_path / "input.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as excinfo:
             load(path)
         assert str(excinfo.value).startswith(f"{path}:3:")
@@ -461,7 +475,7 @@ class TestLineEndings:
         with open(lf, encoding="utf-8") as handle:
             expected = EdgeListFile.parse_lines(handle)
         assert EdgeListFile.parse(other) == expected
-        assert expected.labels == ("z", "a", "b", "c")
+        assert expected.graph.labels == ("z", "a", "b", "c")
         assert expected.duplicate_count == 1
         assert load_edge_list(other) == load_edge_list(lf)
 

@@ -33,6 +33,7 @@ from netstrength.metrics import (
     METRIC_IDS,
     WeightCoverageError,
     WeightVector,
+    score,
 )
 from netstrength.weights import default_weights
 
@@ -138,6 +139,23 @@ class TestQueryValidation:
     def test_proposed_needs_weights(self):
         with pytest.raises(ValueError, match="weight vector"):
             DismantleQuery(graph=path_graph(4), k=1, objective="proposed")
+
+    def test_weights_that_could_overflow_are_refused(self):
+        # each weight is finite, but residual sizes (1, 1, 2, 2) sum to
+        # inf + -inf = NaN, which no comparison orders
+        g = Graph.build(6, [(2, 3), (4, 5)])
+        huge = WeightVector((1e308, -1e308), EXTENSION_CLAMP)
+        with pytest.raises(ValueError, match="could overflow a float"):
+            DismantleQuery(graph=g, k=1, objective="proposed", weights=huge)
+        for objective in ("cole1", "cole2", "gfp"):  # they take no weights
+            DismantleQuery(graph=g, k=1, objective=objective, weights=huge)
+        # only the weights of sizes 1..n count, and 2 * 6 * 1e307 is finite
+        large = WeightVector((1e307, -1e307, 0, 0, 0, 0, 1e308))
+        result = best_removal(
+            DismantleQuery(graph=g, k=1, objective="proposed", weights=large)
+        )
+        assert (result.removed, result.ties) == ((0,), 2)
+        assert result.residual_value == score((1, 2, 2), "proposed", large)
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError, match="unknown objective"):

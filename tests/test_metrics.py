@@ -24,9 +24,9 @@ from netstrength.metrics import (
     cole2,
     gfp_score,
     load_weights,
-    save_weights,
     score,
     sigma,
+    weights_csv,
 )
 from netstrength.weights import default_weights
 
@@ -68,11 +68,11 @@ class TestWeightVector:
     def test_csv_round_trip(self, tmp_path):
         w = WeightVector((0.2221, 1.2271, 0.691, 1 / 3))
         path = tmp_path / "w.csv"
-        save_weights(w, path)
+        path.write_text(weights_csv(w))
         again = load_weights(path)
         assert again.weights == w.weights
         first = path.read_text()
-        save_weights(again, path)
+        path.write_text(weights_csv(again))
         assert path.read_text() == first
 
     def test_numpy_weights_round_trip(self, tmp_path):
@@ -80,7 +80,7 @@ class TestWeightVector:
         # the loader rejects; the file must hold plain decimals
         w = WeightVector(tuple(np.array([0.5, 0.25, 1 / 3])))
         path = tmp_path / "w.csv"
-        save_weights(w, path)
+        path.write_text(weights_csv(w))
         assert path.read_text() == (
             "size,weight\n1,0.5\n2,0.25\n3,0.3333333333333333\n"
         )
@@ -97,7 +97,7 @@ class TestWeightVector:
         # back what it scored with, not the float64 parse of "0.1"
         w = WeightVector(np.array([0.1, 0.3, 1 / 3], dtype=dtype))
         path = tmp_path / "w.csv"
-        save_weights(w, path)
+        path.write_text(weights_csv(w))
         again = load_weights(path)
         assert again.weights == tuple(float(v) for v in w.weights)
         sizes = (1, 2, 3, 3)
@@ -212,6 +212,13 @@ class TestScore:
     def test_proposed_needs_weights(self):
         with pytest.raises(ValueError, match="weight vector"):
             score((3,), "proposed")
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 2, 2)])
+    def test_proposed_overflow_is_refused(self, sizes):
+        # each weight is finite; the sums are inf, and inf + -inf = NaN
+        w = WeightVector((1e308, -1e308), EXTENSION_CLAMP)
+        with pytest.raises(ValueError, match="not finite"):
+            score(sizes, "proposed", w)
 
     @pytest.mark.parametrize("metric_id", ["cole1", "cole2", "gfp"])
     def test_no_components_is_an_empty_graph(self, metric_id):

@@ -13,7 +13,7 @@ from conftest import child_env, disjoint_paths, path_graph
 from netstrength import weights
 from netstrength.datasets import save_edge_list
 from netstrength.graph import Graph
-from netstrength.metrics import WeightVector, load_weights, save_weights, sigma
+from netstrength.metrics import WeightVector, load_weights, sigma, weights_csv
 from netstrength.weights import (
     DesignMatrix,
     SurveyDataset,
@@ -52,11 +52,11 @@ class TestDefaultWeights:
 
     def test_csv_round_trip_is_lossless_and_stable(self, tmp_path):
         path = tmp_path / "default.csv"
-        save_weights(default_weights(), path)
+        path.write_text(weights_csv(default_weights()))
         loaded = load_weights(path)
         assert loaded.weights == default_weights().weights
         first = path.read_text()
-        save_weights(loaded, path)
+        path.write_text(weights_csv(loaded))
         assert path.read_text() == first
 
 
