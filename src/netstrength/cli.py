@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import datasets, metrics
-from .graph import components
+from .graph import Graph, components
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ def _check_outputs(args: argparse.Namespace,
         return  # nothing goes to a file, so nothing can be overwritten
     named = [(dest, getattr(args, dest, None)) for dest in
              written + ("graph", "survey", "pred", "gt", "weights")]
-    named += [("graphs", Path(args.graphs, f"{graph_id}.edges"))
+    named += [("graphs", datasets.graph_path(args.graphs, graph_id))
               for graph_id in graph_ids]
     outputs: dict[Path, str] = {}
     for dest, path in named:
@@ -204,6 +204,17 @@ def _check_ids(args: argparse.Namespace, preds: dict, gt: dict,
                          f"no prediction for graph id {graph_id!r}")
 
 
+def _check_estimates(gt: dict[str, float], graphs: dict[str, Graph],
+                     source: str) -> None:
+    """A mean estimate of a graph lies in [1, n], as ``fit-weights`` asks
+    of every estimate; the first one outside names its row in ``source``."""
+    for graph_id, graph in graphs.items():
+        if not 1.0 <= gt[graph_id] <= graph.n:
+            raise ValueError(f"{datasets.graph_id_row(source, graph_id)}: "
+                             f"mean_estimate {gt[graph_id]} for graph "
+                             f"{graph_id!r} is outside [1, {graph.n}]")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
     if args.mode == "match":
@@ -231,13 +242,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     preds = evaluation.load_strength_values_csv(args.pred)
     gt = evaluation.load_strength_gt_csv(args.gt)
     _check_ids(args, preds, gt, "prediction for unknown graph id")
-    pred_values = []
-    gt_values = []
-    for graph_id in sorted(preds):
-        graph = datasets.load_graph_by_id(args.graphs, graph_id, args.pred)
-        pred_values.append(preds[graph_id])
-        gt_values.append(gt[graph_id] / graph.n)
-    value = evaluation.rmse(pred_values, gt_values)
+    graphs = datasets.load_graphs(args.graphs, preds, args.pred)
+    _check_estimates(gt, graphs, args.gt)
+    value = evaluation.rmse([preds[g] for g in graphs],
+                            [gt[g] / graph.n for g, graph in graphs.items()])
     _write_or_print([datasets.csv_text(["statistic", "value"],
                                        [["rmse", value]])], None)
     return 0
@@ -246,15 +254,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from . import evaluation
     gt = evaluation.load_strength_gt_csv(args.gt)
-    _check_outputs(args, gt)
-    graphs = [
-        (graph_id, datasets.load_graph_by_id(args.graphs, graph_id, args.gt))
-        for graph_id in sorted(gt)
-    ]
+    graphs = datasets.load_graphs(args.graphs, gt, args.gt)
+    _check_estimates(gt, graphs, args.gt)
+    _check_outputs(args, graphs)
     weight_vector = None
     if "proposed" in args.metrics:
         weight_vector = _resolve_weights(args.weights, args.clamp_weights)
-    result = evaluation.compare_suite(graphs, gt, args.metrics, weight_vector)
+    result = evaluation.compare_suite(list(graphs.items()), gt, args.metrics,
+                                      weight_vector)
     _write_or_print([result.to_csv()], args.out)
     return 0
 

@@ -182,35 +182,39 @@ def graph_id_row(source: str | Path, graph_id: str) -> str:
     return f"{source}:{line}"
 
 
-def load_graph_by_id(
-    graph_dir: str | Path, graph_id: str, source: str | Path | None = None
-) -> Graph:
-    """Read ``<graph_dir>/<graph_id>.edges``, naming the id if it is missing.
-
-    An id that is not one path component, so could name a file outside
-    ``graph_dir``, or a graph with no nodes (callers divide by ``n``)
-    raises ``ValueError``. ``source`` is the CSV file that gave the id:
-    these errors then start with the :func:`graph_id_row` of the id.
-    """
-
-    def where() -> str:
-        return "" if source is None else f"{graph_id_row(source, graph_id)}: "
-
+def graph_path(graph_dir: str | Path, graph_id: str) -> Path:
+    """``<graph_dir>/<graph_id>.edges``, the file a graph id names. An id
+    that is not one path component, so could name a file outside
+    ``graph_dir``, raises ``ValueError``."""
     if graph_id in ("", ".", "..") or any(
-        sep in graph_id for sep in ("/", os.sep, os.altsep) if sep
+        sep in graph_id for sep in (os.sep, os.altsep) if sep
     ):
-        raise ValueError(
-            f"{where()}graph id {graph_id!r} is not one path component"
-        )
-    path = Path(graph_dir) / f"{graph_id}.edges"
-    if not path.exists():
-        raise FileNotFoundError(
-            f"{where()}no edge list for graph id {graph_id!r}: {path}"
-        )
-    graph = load_edge_list(path)
-    if graph.n == 0:
-        raise ValueError(f"{where()}{path}: edge list has no nodes")
-    return graph
+        raise ValueError(f"graph id {graph_id!r} is not one path component")
+    return Path(graph_dir) / f"{graph_id}.edges"
+
+
+def load_graphs(
+    graph_dir: str | Path, graph_ids: Iterable[str], source: str | Path
+) -> dict[str, Graph]:
+    """``{id: graph}`` in sorted id order, each read from its
+    :func:`graph_path`. A bad id, a missing file or a graph with no nodes
+    (callers divide by ``n``) raises, after the :func:`graph_id_row` in
+    CSV ``source`` of the id; the row is looked up only then."""
+    graphs = {}
+    for graph_id in sorted(graph_ids):
+        try:
+            path = graph_path(graph_dir, graph_id)
+            if not path.exists():
+                raise FileNotFoundError(
+                    f"no edge list for graph id {graph_id!r}: {path}")
+        except (ValueError, FileNotFoundError) as exc:
+            raise type(exc)(
+                f"{graph_id_row(source, graph_id)}: {exc}") from None
+        graph = graphs[graph_id] = load_edge_list(path)
+        if graph.n == 0:
+            raise ValueError(f"{graph_id_row(source, graph_id)}: {path}: "
+                             f"edge list has no nodes")
+    return graphs
 
 
 def save_edge_list(g: Graph, path: str | Path) -> None:
@@ -241,14 +245,13 @@ def save_edge_list(g: Graph, path: str | Path) -> None:
 def write_suite(
     spec: GeneratorSpec, out_dir: str | Path, stem: str = "graph"
 ) -> list[Path]:
-    """Generate a suite and write ``<stem>_<index>.edges`` plus a manifest."""
+    """Generate a suite and write ``<stem>_<index>.edges`` plus a manifest.
+    A stem that is not one path component raises ``ValueError`` first."""
     out = Path(out_dir)
+    paths = [graph_path(out, f"{stem}_{index}") for index in range(spec.count)]
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for index, graph in enumerate(generate(spec)):
-        path = out / f"{stem}_{index}.edges"
+    for graph, path in zip(generate(spec), paths):
         save_edge_list(graph, path)
-        paths.append(path)
     manifest = {key: value for key, value in vars(spec).items()
                 if value is not None}  # the other model's p or m is None
     manifest["files"] = [p.name for p in paths]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .datasets import load_graph_by_id, parse_cell, read_rows
+from .datasets import load_graphs, parse_cell, read_rows
 from .graph import Graph, components
 from .metrics import WeightVector
 
@@ -162,8 +162,6 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
     by_graph: dict[str, list[tuple[int, float]]] = {}
     answered: set[tuple[str, str]] = set()
     for line_no, row in read_rows(path, SURVEY_HEADER):
-        if not row["graph_id"]:
-            raise ValueError(f"{path}:{line_no}: empty graph_id")
         key = (row["graph_id"], row["participant_id"])
         if key in answered:
             raise ValueError(
@@ -177,8 +175,7 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
     if not by_graph:
         raise ValueError(f"{path}: survey file contains no records")
     records = []
-    for graph_id in sorted(by_graph):
-        graph = load_graph_by_id(graph_dir, graph_id, path)
+    for graph_id, graph in load_graphs(graph_dir, by_graph, path).items():
         for line_no, value in by_graph[graph_id]:
             if not (1.0 <= value <= graph.n):
                 raise ValueError(

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env, disjoint_paths, path_graph
-from netstrength import cli, metrics
+from netstrength import cli, datasets, metrics
 from netstrength.cli import main
 from netstrength.datasets import (
     GeneratorSpec,
@@ -65,6 +65,21 @@ class TestGen:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("stem", ["../x", "{tmp}/x"],
+                             ids=["relative", "absolute"])
+    def test_stem_must_be_one_path_component(self, capsys, tmp_path, stem):
+        stem = stem.format(tmp=tmp_path)
+        code, out, err = run_cli(
+            capsys, "gen", "--model", "gnp", "--n", "5", "--p", "0.5",
+            "--seed", "1", "--out", str(tmp_path / "g"), "--stem", stem,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: graph id '{stem}_0' is not one path component\n"
+        )
+        # no edge list, no manifest and no --out directory
+        assert list(tmp_path.iterdir()) == []
 
     def test_impossible_edge_count(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -872,6 +887,18 @@ class TestOneWriter:
         ]
 
 
+class TestOneGraphPath:
+    def test_only_graph_path_names_edge_lists(self):
+        """``datasets.graph_path`` is the one code that turns a graph id
+        into its ``.edges`` file name."""
+        rule = inspect.getsource(datasets.graph_path)
+        assert len(re.findall(r"\.edges[\"']", rule)) == 1
+        package = Path(datasets.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            rest = path.read_text(encoding="utf-8").replace(rule, "")
+            assert not re.findall(r"\.edges[\"']", rest), path.name
+
+
 class TestGraphDirectory:
     """Every subcommand that reads ``<dir>/<graph_id>.edges`` reports a
     missing file, an empty one and an id outside ``<dir>`` the same way,
@@ -956,6 +983,50 @@ class TestGraphDirectory:
             f"error: {row}:{line}: no edge list for graph id 'ghost': "
             f"{missing}\n"
         )
+
+    @pytest.mark.parametrize("value", ["99", "0", "-3"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_estimate_outside_one_to_n(self, capsys, tmp_path, command,
+                                       value):
+        (tmp_path / "graphs").mkdir()
+        save_edge_list(path_graph(3), tmp_path / "graphs" / "graph_0.edges")
+        save_edge_list(disjoint_paths([3, 2, 1]),
+                       tmp_path / "graphs" / "graph_1.edges")
+        code, out, err = self.run(capsys, tmp_path, command, "", rows={
+            "survey.csv": f"graph_0,p1,2\ngraph_1,p1,{value}\n",
+            "gt.csv": f"graph_0,2.0\ngraph_1,{value}\n",
+            "pred.csv": "graph_0,0.5\ngraph_1,0.5\n",
+        })
+        assert (code, out) == (1, "")
+        if command == "fit-weights":
+            row, column = tmp_path / "survey.csv", "estimate"
+        else:
+            row, column = tmp_path / "gt.csv", "mean_estimate"
+        assert err == (
+            f"error: {row}:3: {column} {float(value)} for graph 'graph_1' "
+            f"is outside [1, 6]\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rows_are_looked_up_only_for_an_error(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        """Finding an id's row reads its CSV again: a valid run never
+        does, however many ids it loads."""
+        def no_lookup(source, graph_id):
+            raise AssertionError(f"looked up {graph_id!r} in {source}")
+
+        monkeypatch.setattr(datasets, "graph_id_row", no_lookup)
+        (tmp_path / "graphs").mkdir()
+        save_edge_list(path_graph(3), tmp_path / "graphs" / "g1.edges")
+        save_edge_list(path_graph(4), tmp_path / "graphs" / "g2.edges")
+        code, out, err = self.run(capsys, tmp_path, command, "", rows={
+            "survey.csv": "g1,p1,2\ng2,p1,3\n",
+            "gt.csv": "g1,2.0\ng2,3.0\n",
+            "pred.csv": "g1,0.5\ng2,0.5\n",
+        })
+        assert (code, err.count("error")) == (0, 0)
+        assert out
 
 
 _CELLS = st.sampled_from([

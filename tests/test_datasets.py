@@ -25,8 +25,8 @@ from netstrength.datasets import (
     bundled_eval_path,
     csv_text,
     generate,
+    graph_path,
     load_edge_list,
-    load_graph_by_id,
     read_rows,
     save_edge_list,
     write_suite,
@@ -308,7 +308,7 @@ class TestLoadGraphById:
     def test_id_must_be_one_path_component(self, tmp_path, graph_id):
         # refused before any lookup, so a missing directory never shows
         with pytest.raises(ValueError, match="not one path component"):
-            load_graph_by_id(tmp_path / "missing", graph_id)
+            graph_path(tmp_path / "missing", graph_id)
 
 
 class TestLoaderErrors:
@@ -648,6 +648,16 @@ class TestWriteSuite:
     def test_manifest_bytes(self, tmp_path, spec, text):
         write_suite(spec, tmp_path, stem="s")
         assert (tmp_path / "s_manifest.json").read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("stem", ["../x", "a/b", "{tmp}/x"])
+    def test_stem_must_be_one_path_component(self, tmp_path, stem):
+        spec = GeneratorSpec(model="gnm", n=9, m=7, seed=13, count=2)
+        stem = stem.format(tmp=tmp_path)
+        with pytest.raises(
+            ValueError, match=re.escape(f"graph id '{stem}_0' is not one")
+        ):
+            write_suite(spec, tmp_path / "out", stem=stem)
+        assert list(tmp_path.iterdir()) == []  # out_dir is not made either
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         spec = GeneratorSpec(model="gnm", n=9, m=7, seed=13, count=3)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import typing
@@ -266,6 +267,14 @@ class TestSurveyCsv:
             match=f"{survey}:3: duplicate estimate from participant 'u1' "
                   f"for graph 'p3'",
         ):
+            load_survey_csv(survey, graph_dir)
+
+    def test_empty_graph_id_is_not_one_path_component(self, tmp_path):
+        survey, graph_dir = self.make_inputs(tmp_path)
+        survey.write_text("graph_id,participant_id,estimate\n,u1,1\n")
+        with pytest.raises(ValueError, match=re.escape(
+            f"{survey}:2: graph id '' is not one path component"
+        )):
             load_survey_csv(survey, graph_dir)
 
     def test_empty_survey(self, tmp_path):
