@@ -206,17 +206,23 @@ def _check_ids(args: argparse.Namespace, preds: dict, gt: dict,
 
 def _check_estimates(gt: dict[str, float], graphs: dict[str, Graph],
                      source: str) -> None:
-    """A mean estimate of a graph lies in [1, n], as ``fit-weights`` asks
-    of every estimate; the first one outside names its row in ``source``."""
+    """Check each mean's range; an error names its row in ``source``."""
     for graph_id, graph in graphs.items():
-        if not 1.0 <= gt[graph_id] <= graph.n:
+        try:
+            datasets.check_estimate("mean_estimate", gt[graph_id], graph_id,
+                                    graph.n)
+        except ValueError as error:
             raise ValueError(f"{datasets.graph_id_row(source, graph_id)}: "
-                             f"mean_estimate {gt[graph_id]} for graph "
-                             f"{graph_id!r} is outside [1, {graph.n}]")
+                             f"{error}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import evaluation
+    # a flag of the other mode would go unread or unwritten: refuse it first
+    for flag, mode in (("--out", "match"), ("--csv", "match"),
+                       ("--summary-out", "match"), ("--graphs", "strength")):
+        if mode != args.mode and getattr(args, flag[2:].replace("-", "_")):
+            raise ValueError(f"{flag} is only used in {mode} mode")
     if args.mode == "match":
         preds = evaluation.load_predictions_csv(args.pred)
         gt = evaluation.load_ranked_gt_csv(args.gt)
@@ -231,12 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else:
             _write_or_print([report.format_table(), "\n"], None)
         return 0
-    # strength mode: RMSE of normalized predictions vs normalized estimates,
-    # to stdout only, so a match-mode output would silently go unwritten
-    for flag, given in (("--out", args.out), ("--csv", args.csv),
-                        ("--summary-out", args.summary_out)):
-        if given:
-            raise ValueError(f"{flag} is only used in match mode")
+    # strength mode: RMSE of normalized predictions vs normalized estimates
     if not args.graphs:
         raise ValueError("--graphs is required in strength mode")
     preds = evaluation.load_strength_values_csv(args.pred)

@@ -134,8 +134,8 @@ class EdgeListFile:
         cls, lines: Iterable[str], source: str | None = None
     ) -> "EdgeListFile":
         ids: dict[str, int] = {}
-        edges: set[tuple[int, int]] = set()
-        edge_lines = self_loops = 0
+        edges: list[tuple[int, int]] = []
+        self_loops = 0
         for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if line.startswith("#!"):
@@ -154,10 +154,9 @@ class EdgeListFile:
                 if u == v:
                     self_loops += 1
                 else:
-                    edge_lines += 1
-                    edges.add((u, v) if u < v else (v, u))
-        return cls(Graph.build(len(ids), edges, ids),
-                   edge_lines - len(edges), self_loops)
+                    edges.append((u, v))
+        graph = Graph.build(len(ids), edges, ids)
+        return cls(graph, len(edges) - graph.edge_count, self_loops)
 
 
 def load_edge_list(path: str | Path) -> Graph:
@@ -352,6 +351,13 @@ def parse_cell(
             f"{path}:{line_no}: {column} must be {expected}, got {text!r}"
         )
     return value
+
+
+def check_estimate(column: str, value: float, graph_id: str, n: int) -> None:
+    """``ValueError`` unless an estimate, or a mean of them, is in [1, n]."""
+    if not (1.0 <= value <= n):
+        raise ValueError(f"{column} {value} for graph {graph_id!r} "
+                         f"is outside [1, {n}]")
 
 
 def bundled_eval_path(name: str) -> Path:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, _split, components
+from .graph import Graph, _check_removal_size, _split, components
 from .metrics import METRIC_IDS, WeightCoverageError, WeightVector, score
 
 # the default cap bounds a search at about 3 s: one candidate set costs
@@ -66,11 +66,7 @@ class DismantleQuery:
     def __post_init__(self) -> None:
         if self.objective not in METRIC_IDS:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if not (1 <= self.k < self.graph.n):
-            raise ValueError(
-                f"budget k must satisfy 1 <= k < n, got k={self.k}, "
-                f"n={self.graph.n}"
-            )
+        _check_removal_size(self.k, self.graph.n)
         if self.objective == "proposed" and self.weights is None:
             raise ValueError("the proposed objective requires a weight vector")
         # every partial sum of a residual's strength, rounding included, is

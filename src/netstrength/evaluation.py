@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .datasets import csv_text, parse_cell, read_rows
+from .datasets import check_estimate, csv_text, parse_cell, read_rows
 from .graph import Graph, components
 from .metrics import METRIC_IDS, WeightVector, score
 
@@ -59,8 +59,9 @@ class RankedGroundTruth:
         if self.vote_shares is not None:
             if len(self.vote_shares) != len(self.candidates):
                 raise ValueError("one vote share per candidate required")
-            if any(share < 0 for share in self.vote_shares):
-                raise ValueError("vote shares must be non-negative")
+            if not all(share >= 0 for share in self.vote_shares):  # or NaN
+                raise ValueError(f"vote shares must be non-negative, got "
+                                 f"{list(self.vote_shares)}")
             if sum(self.vote_shares) > 100 + 1e-9:
                 raise ValueError("vote shares must sum to at most 100")
 
@@ -148,6 +149,8 @@ def match_stats(
     for graph_id in sorted(preds):
         if graph_id not in gt:
             raise ValueError(f"no ground truth for predicted graph {graph_id!r}")
+        if isinstance(preds[graph_id], str):  # it would read as its letters
+            raise ValueError(f"prediction for graph {graph_id!r} is a str")
         prediction = frozenset(preds[graph_id])
         truth = gt[graph_id]
         rank = truth.rank_of(prediction)
@@ -206,8 +209,8 @@ def compare_suite(
 ) -> CompareResult:
     """Evaluate selected metrics on every graph against mean estimates.
 
-    ``gt_strengths`` holds raw mean estimates in [1, n]; everything is
-    normalized by the graph's node count before comparison.
+    ``gt_strengths`` holds raw mean estimates in [1, n], or ``ValueError``;
+    everything is normalized by the graph's node count before comparison.
     """
     rows = []
     for graph_id, graph in graphs:
@@ -218,8 +221,9 @@ def compare_suite(
             values = [score(sizes, m, weights) / graph.n for m in metrics]
         except ValueError as error:
             raise type(error)(f"graph {graph_id!r}: {error}") from None
-        gt_norm = gt_strengths[graph_id] / graph.n
-        rows.append((graph_id, graph.n, gt_norm, *values))
+        mean = gt_strengths[graph_id]  # after scoring: n = 0 raises there
+        check_estimate("mean_estimate", mean, graph_id, graph.n)
+        rows.append((graph_id, graph.n, mean / graph.n, *values))
     gt_normalized = [row[2] for row in rows]
     rmse_by_metric = {
         metric: rmse([row[column] for row in rows], gt_normalized)

@@ -56,9 +56,8 @@ class Graph:
         ``{u, v}`` and ``{v, u}`` are the same edge; repeated pairs collapse
         to one. Self-loops and out-of-range endpoints raise ``ValueError``.
         """
-        canonical = {(u, v) if u < v else (v, u) for u, v in edges}
-        label_tuple = None if labels is None else tuple(labels)
-        return cls(n=n, edges=frozenset(canonical), labels=label_tuple)
+        return cls(n, frozenset((u, v) if u < v else (v, u) for u, v in edges),
+                   None if labels is None else tuple(labels))
 
     @property
     def edge_count(self) -> int:
@@ -74,8 +73,7 @@ class Graph:
         return tuple(tuple(sorted(ns)) for ns in neighbors)
 
     def label(self, node: int) -> str:
-        if not (0 <= node < self.n):
-            raise ValueError(f"unknown node id {node}")
+        _check_node_ids(self, (node,))
         return self.labels[node] if self.labels is not None else str(node)
 
 
@@ -169,3 +167,9 @@ def _check_node_ids(g: Graph, nodes: Iterable[int]) -> tuple[int, ...]:
         if not (0 <= node < g.n):
             raise ValueError(f"unknown node id {node}")
     return nodes
+
+
+def _check_removal_size(k: int, n: int) -> None:
+    """A budget removes a node and leaves one, or ``ValueError``."""
+    if not (1 <= k < n):
+        raise ValueError(f"budget k must satisfy 1 <= k < n, got k={k}, n={n}")

@@ -37,20 +37,8 @@ from itertools import chain, cycle
 from operator import add, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .graph import Graph
+from .graph import Graph, _check_removal_size
 from .metrics import WeightVector
-
-CONSTRAINT_FAMILIES = (
-    "edge-consistency",
-    "vertex-assignment",
-    "component-size",
-    "budget",
-    "size-indicator",
-    "size-link",
-    "size-count",
-    "binary-domain",
-    "integer-domain",
-)
 
 # Slack allowed on integrality and on each row of a solver's assignment.
 TOLERANCE = 1e-6
@@ -105,8 +93,7 @@ def build_model(g: Graph, k: int, w: WeightVector) -> Model:
     Requires weights for every size 1..n (clamp policy permitted).
     """
     n = g.n
-    if not (1 <= k < n):
-        raise ValueError(f"budget k must satisfy 1 <= k < n, got k={k}, n={n}")
+    _check_removal_size(k, n)
     slots = range(1, n + 1)
     sizes = range(n + 1)
     # every name is formatted once: x[i - 1][j - 1], y[i - 1], m[j - 1][t],

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .datasets import load_graphs, parse_cell, read_rows
+from .datasets import check_estimate, load_graphs, parse_cell, read_rows
 from .graph import Graph, components
 from .metrics import WeightVector
 
@@ -54,11 +54,7 @@ class SurveyRecord:
         if not self.estimates:
             raise ValueError(f"graph {self.graph_id!r} has no estimates")
         for value in self.estimates:
-            if not (1.0 <= value <= self.graph.n):
-                raise ValueError(
-                    f"estimate {value} for graph {self.graph_id!r} is outside "
-                    f"[1, {self.graph.n}]"
-                )
+            check_estimate("estimate", value, self.graph_id, self.graph.n)
 
     @property
     def mean_estimate(self) -> float:
@@ -177,11 +173,10 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
     records = []
     for graph_id, graph in load_graphs(graph_dir, by_graph, path).items():
         for line_no, value in by_graph[graph_id]:
-            if not (1.0 <= value <= graph.n):
-                raise ValueError(
-                    f"{path}:{line_no}: estimate {value} for graph "
-                    f"{graph_id!r} is outside [1, {graph.n}]"
-                )
+            try:
+                check_estimate("estimate", value, graph_id, graph.n)
+            except ValueError as error:
+                raise ValueError(f"{path}:{line_no}: {error}") from None
         records.append(
             SurveyRecord(
                 graph_id=graph_id,

@@ -616,6 +616,17 @@ class TestEval:
         assert err == f"error: {option[0]} is only used in match mode\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_match_mode_refuses_graphs(self, capsys, tmp_path, monkeypatch):
+        # refused before any input is read: none of these files exists
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "eval", "--mode", "match", "--pred", "pred.csv",
+            "--gt", "gt.csv", "--graphs", "graphs",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --graphs is only used in strength mode\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_strength_mode_refuses_unpredicted_rows(self, capsys, tmp_path):
         # a ground-truth row with no prediction used to be left out of
         # the RMSE without a word
@@ -897,6 +908,18 @@ class TestOneGraphPath:
         for path in sorted(package.glob("*.py")):
             rest = path.read_text(encoding="utf-8").replace(rule, "")
             assert not re.findall(r"\.edges[\"']", rest), path.name
+
+    @pytest.mark.parametrize("rule", [
+        "is outside [1, ", "budget k must satisfy", "unknown node id",
+        "u < v else",
+    ])
+    def test_each_input_rule_is_written_once(self, rule):
+        """The estimate range, the removal size, the node-id range and
+        the canonical edge each have one home in the package source."""
+        package = Path(datasets.__file__).parent
+        sources = (path.read_text(encoding="utf-8")
+                   for path in package.glob("*.py"))
+        assert sum(source.count(rule) for source in sources) == 1
 
 
 class TestGraphDirectory:

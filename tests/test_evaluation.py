@@ -95,6 +95,13 @@ class TestRankedGroundTruth:
                 vote_shares=(150.0, -60.0),
             )
 
+    def test_nan_vote_share_rejected(self):
+        # NaN passes both a < 0 test and the sum cap, and would score NaN
+        with pytest.raises(ValueError, match=r"non-negative, got \[nan\]"):
+            RankedGroundTruth(
+                candidates=(frozenset({"a"}),), vote_shares=(float("nan"),)
+            )
+
 
 class TestMatchStats:
     @pytest.mark.parametrize("metric", sorted(SINGLE_NODE_EXPECTED))
@@ -127,6 +134,12 @@ class TestMatchStats:
         gt = {"g": RankedGroundTruth(candidates=(frozenset({"a", "b"}),))}
         report = match_stats({"g": ["b", "a"]}, gt)
         assert report.exact_match == 1.0
+
+    def test_string_prediction_rejected(self):
+        # a str is a Sequence[str]: "ab" would read as the set {a, b}
+        gt = {"g": RankedGroundTruth(candidates=(frozenset({"a", "b"}),))}
+        with pytest.raises(ValueError, match="graph 'g' is a str"):
+            match_stats({"g": "ab"}, gt)
 
     def test_missing_ground_truth(self):
         with pytest.raises(ValueError, match="no ground truth"):
@@ -253,6 +266,15 @@ class TestCompareSuite:
     def test_missing_ground_truth(self):
         with pytest.raises(ValueError, match="no ground-truth"):
             compare_suite([("a", path_graph(3))], {}, metrics=("cole1",))
+
+    @pytest.mark.parametrize("mean", [99.0, 0.0, -3.0])
+    def test_mean_outside_one_to_n_rejected(self, mean):
+        with pytest.raises(ValueError) as excinfo:
+            compare_suite([("g", path_graph(3))], {"g": mean},
+                          metrics=("cole1",))
+        assert str(excinfo.value) == (
+            f"mean_estimate {mean} for graph 'g' is outside [1, 3]"
+        )
 
     def test_uncovered_size_names_the_graph(self):
         graphs = [("a", path_graph(2)), ("b", path_graph(3))]
