@@ -152,7 +152,7 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
         "fit %d weights from %d graphs (residual %.6g, rank %d); %d size(s) "
         "absent from every surveyed graph got weight 0", system.size_limit,
         len(system.graph_ids), result.residual_norm, result.rank,
-        system.size_limit - system.matrix.any(axis=0).sum(),
+        sum(not any(column) for column in zip(*system.matrix)),
     )
     return 0
 

@@ -196,20 +196,25 @@ def load_graphs(
     graph_dir: str | Path, graph_ids: Iterable[str], source: str | Path
 ) -> dict[str, Graph]:
     """``{id: graph}`` in sorted id order, each read from its
-    :func:`graph_path`. A bad id, a missing file or a graph with no nodes
-    (callers divide by ``n``) raises, after the :func:`graph_id_row` in
-    CSV ``source`` of the id; the row is looked up only then."""
+    :func:`graph_path`. A bad id, a file that cannot be opened or a graph
+    with no nodes (callers divide by ``n``) raises, after the
+    :func:`graph_id_row` in CSV ``source`` of the id; the row is looked up
+    only then. A parse error names its own ``file:line``."""
     graphs = {}
     for graph_id in sorted(graph_ids):
         try:
             path = graph_path(graph_dir, graph_id)
-            if not path.exists():
-                raise FileNotFoundError(
-                    f"no edge list for graph id {graph_id!r}: {path}")
-        except (ValueError, FileNotFoundError) as exc:
-            raise type(exc)(
+        except ValueError as exc:
+            raise ValueError(
                 f"{graph_id_row(source, graph_id)}: {exc}") from None
-        graph = graphs[graph_id] = load_edge_list(path)
+        try:
+            graph = graphs[graph_id] = load_edge_list(path)
+        except OSError as exc:
+            reason = exc
+            if isinstance(exc, FileNotFoundError):
+                reason = f"no edge list for graph id {graph_id!r}: {path}"
+            raise type(exc)(
+                f"{graph_id_row(source, graph_id)}: {reason}") from None
         if graph.n == 0:
             raise ValueError(f"{graph_id_row(source, graph_id)}: {path}: "
                              f"edge list has no nodes")

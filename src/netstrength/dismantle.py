@@ -67,6 +67,9 @@ class DismantleQuery:
         if self.objective not in METRIC_IDS:
             raise ValueError(f"unknown objective {self.objective!r}")
         _check_removal_size(self.k, self.graph.n)
+        if self.max_subsets is not None and self.max_subsets < 1:
+            raise ValueError(f"candidate-set budget must be >= 1, "
+                             f"got {self.max_subsets}")
         if self.objective == "proposed" and self.weights is None:
             raise ValueError("the proposed objective requires a weight vector")
         # every partial sum of a residual's strength, rounding included, is

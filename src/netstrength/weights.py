@@ -10,19 +10,12 @@ the package.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
 
 from .datasets import check_estimate, load_graphs, parse_cell, read_rows
 from .graph import Graph, components
 from .metrics import WeightVector
-
-if TYPE_CHECKING:
-    from numpy import ndarray
-else:  # annotations resolve at run time without loading numpy
-    ndarray = Any
 
 # Bundled default calibration: weight of a size-i component, i = 1..30.
 _DEFAULT_WEIGHTS = (
@@ -70,18 +63,18 @@ class SurveyDataset:
 class DesignMatrix:
     """Stacked linear system: one row per graph, one column per size.
 
-    ``matrix[j, i-1] = i * count_i(G_j)`` and ``target[j]`` is the mean
-    estimate for graph ``j``. Column count is the largest component size
-    observed anywhere in the dataset.
+    ``matrix[j][i-1] = i * count_i(G_j)``, an exact integer, and
+    ``target[j]`` is the mean estimate for graph ``j``. Column count is the
+    largest component size observed anywhere in the dataset.
     """
 
-    matrix: ndarray
-    target: ndarray
+    matrix: tuple[tuple[int, ...], ...]
+    target: tuple[float, ...]
     graph_ids: tuple[str, ...]
 
     @property
     def size_limit(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.matrix[0])
 
 
 @dataclass(frozen=True)
@@ -94,20 +87,21 @@ class FitResult:
 
 def build_system(dataset: SurveyDataset) -> DesignMatrix:
     """Assemble the design matrix and mean-estimate targets."""
-    import numpy as np
-
     if not dataset.records:
         raise ValueError("survey dataset is empty")
-    counts = [Counter(components(record.graph)) for record in dataset.records]
-    width = max(max(sizes) for sizes in counts)
-    matrix = np.zeros((len(dataset.records), width))
-    target = np.empty(len(dataset.records))
-    for row, (record, sizes) in enumerate(zip(dataset.records, counts)):
-        for size, count in sizes.items():
-            matrix[row, size - 1] = size * count
-        target[row] = record.mean_estimate
-    ids = tuple(record.graph_id for record in dataset.records)
-    return DesignMatrix(matrix=matrix, target=target, graph_ids=ids)
+    sizes = [components(record.graph) for record in dataset.records]
+    width = max(map(max, sizes))
+    matrix = []
+    for graph_sizes in sizes:
+        row = [0] * width
+        for size in graph_sizes:  # row[i - 1] sums to i * count_i
+            row[size - 1] += size
+        matrix.append(tuple(row))
+    return DesignMatrix(
+        matrix=tuple(matrix),
+        target=tuple(record.mean_estimate for record in dataset.records),
+        graph_ids=tuple(record.graph_id for record in dataset.records),
+    )
 
 
 def fit_weights(dm: DesignMatrix, ridge: float = 0.0) -> FitResult:
@@ -120,7 +114,8 @@ def fit_weights(dm: DesignMatrix, ridge: float = 0.0) -> FitResult:
     """
     import numpy as np
 
-    matrix, target = dm.matrix, dm.target
+    matrix = np.asarray(dm.matrix, dtype=float)
+    target = np.asarray(dm.target, dtype=float)
     if not (np.isfinite(matrix).all() and np.isfinite(target).all()):
         raise ValueError("design matrix and target must be finite")
     if not (np.isfinite(ridge) and ridge >= 0):

@@ -428,6 +428,18 @@ class TestDismantle:
         assert code == 1
         assert "1 <= k < n" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_refused(self, capsys, tmp_path, budget):
+        target = tmp_path / "g.edges"
+        save_edge_list(path_graph(3), target)
+        code, out, err = run_cli(
+            capsys, "dismantle", str(target), "--k", "1",
+            "--objective", "cole2", "--budget", budget,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: candidate-set budget must be >= 1, got {budget}\n")
+
     def test_instance_too_large_is_explicit(self, capsys, tmp_path):
         target = tmp_path / "g.edges"
         save_edge_list(Graph.build(60, []), target)
@@ -969,6 +981,28 @@ class TestGraphDirectory:
         )
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_edge_list_that_cannot_be_opened(self, capsys, tmp_path,
+                                             command):
+        (tmp_path / "graphs" / "g.edges").mkdir(parents=True)
+        code, out, err = self.run(capsys, tmp_path, command, "g")
+        assert (code, out) == (1, "")
+        row = tmp_path / self.SOURCE[command]
+        directory = tmp_path / "graphs" / "g.edges"
+        assert err == (
+            f"error: {row}:2: [Errno 21] Is a directory: '{directory}'\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parse_error_names_the_edge_list_line(self, capsys, tmp_path,
+                                                  command):
+        (tmp_path / "graphs").mkdir()
+        edges = tmp_path / "graphs" / "g.edges"
+        edges.write_text("a b\na b c\n")
+        code, out, err = self.run(capsys, tmp_path, command, "g")
+        assert (code, out) == (1, "")
+        assert err == f"error: {edges}:2: expected two labels, got 3\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_graph_id_outside_directory(self, capsys, tmp_path, command):
         (tmp_path / "graphs").mkdir()
         save_edge_list(path_graph(3), tmp_path / "outside.edges")
@@ -1312,9 +1346,16 @@ class TestEntryPoint:
         assert audit == {"events": events, "restored": True}
 
     def test_weights_import_leaves_numpy_unloaded(self):
+        # building the design matrix needs no numpy either: only the fit
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, netstrength.weights\n"
+             "import sys\n"
+             "from netstrength.graph import Graph\n"
+             "from netstrength.weights import (\n"
+             "    SurveyDataset, SurveyRecord, build_system)\n"
+             "record = SurveyRecord('g', Graph.build(3, [(0, 1)]), (1.5,))\n"
+             "system = build_system(SurveyDataset((record,)))\n"
+             "assert system.matrix == ((1, 2),), system.matrix\n"
              "assert 'numpy' not in sys.modules"],
             capture_output=True, text=True, env=child_env(),
         )

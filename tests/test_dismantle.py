@@ -310,6 +310,15 @@ class TestBudgetGuard:
         with pytest.raises(ExactSearchBudgetError, match="needs 56 "):
             best_removal(query)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError) as caught:
+            DismantleQuery(graph=path_graph(3), k=1, objective="cole2",
+                           max_subsets=budget)
+        assert not isinstance(caught.value, ExactSearchBudgetError)
+        assert str(caught.value) == (
+            f"candidate-set budget must be >= 1, got {budget}")
+
     def test_explicit_budget_overrides(self):
         g = Graph.build(41, [])
         query = DismantleQuery(

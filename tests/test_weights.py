@@ -77,8 +77,8 @@ class TestBuildSystem:
     def test_single_connected_graph(self):
         ds = SurveyDataset((record("a", path_graph(3), 2.6),))
         dm = build_system(ds)
-        assert dm.matrix.tolist() == [[0.0, 0.0, 3.0]]
-        assert dm.target.tolist() == [2.6]
+        assert dm.matrix == ((0, 0, 3),)
+        assert dm.target == (2.6,)
         assert dm.graph_ids == ("a",)
 
     def test_mixed_components_row(self):
@@ -88,11 +88,11 @@ class TestBuildSystem:
             record("b", path_graph(3), 2.6),
         ))
         dm = build_system(ds)
-        assert dm.matrix.tolist() == [[1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+        assert dm.matrix == ((1, 2, 0), (0, 0, 3))
 
     def test_width_is_largest_observed_size(self):
         ds = SurveyDataset((record("a", disjoint_paths([2, 1]), 1.8),))
-        assert build_system(ds).matrix.tolist() == [[1.0, 2.0]]
+        assert build_system(ds).matrix == ((1, 2),)
 
     def test_identical_graphs_distinct_targets(self):
         ds = SurveyDataset((
@@ -100,8 +100,19 @@ class TestBuildSystem:
             record("b", path_graph(4), 2.0),
         ))
         dm = build_system(ds)
-        assert dm.matrix[0].tolist() == dm.matrix[1].tolist()
-        assert dm.target.tolist() == [3.0, 2.0]
+        assert dm.matrix[0] == dm.matrix[1]
+        assert dm.target == (3.0, 2.0)
+
+    def test_results_of_one_dataset_compare_and_hash_equal(self):
+        ds = SurveyDataset((
+            record("a", disjoint_paths([2, 1]), 1.8),
+            record("b", path_graph(3), 2.6),
+        ))
+        first, second = build_system(ds), build_system(ds)
+        assert first == second
+        assert hash(first) == hash(second)
+        # exact integer coefficients, not floats that happen to be equal
+        assert {type(c) for row in first.matrix for c in row} == {int}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -296,21 +307,24 @@ class TestSurveyCsv:
 
 
 class TestTypeHints:
+    HINTS = {
+        "matrix": tuple[tuple[int, ...], ...],
+        "target": tuple[float, ...],
+        "graph_ids": tuple[str, ...],
+    }
+
     def test_annotations_resolve_as_a_type_checker_reads_them(
         self, monkeypatch
     ):
         # a second copy of the module, run with TYPE_CHECKING true, binds
-        # what a type checker binds; the package's copy never imports numpy
+        # what a type checker binds
         monkeypatch.setattr(typing, "TYPE_CHECKING", True)
         name = "netstrength._weights_as_checked"
         spec = importlib.util.spec_from_file_location(name, weights.__file__)
         module = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
-        assert typing.get_type_hints(module.DesignMatrix) == {
-            "matrix": np.ndarray, "target": np.ndarray,
-            "graph_ids": tuple[str, ...],
-        }
+        assert typing.get_type_hints(module.DesignMatrix) == self.HINTS
         for annotated in (module.SurveyRecord, module.SurveyDataset,
                           module.FitResult, module.default_weights,
                           module.build_system, module.fit_weights,
@@ -322,10 +336,15 @@ class TestTypeHints:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, typing\n"
-             "from netstrength.weights import DesignMatrix\n"
-             "hints = typing.get_type_hints(DesignMatrix)\n"
-             "assert hints == {'matrix': typing.Any, 'target': typing.Any,\n"
-             "                 'graph_ids': tuple[str, ...]}, hints\n"
+             "from netstrength import weights\n"
+             "hints = typing.get_type_hints(weights.DesignMatrix)\n"
+             f"assert hints == {self.HINTS!r}, hints\n"
+             "for annotated in (\n"
+             "        weights.SurveyRecord, weights.SurveyDataset,\n"
+             "        weights.FitResult, weights.default_weights,\n"
+             "        weights.build_system, weights.fit_weights,\n"
+             "        weights.load_survey_csv):\n"
+             "    typing.get_type_hints(annotated)\n"
              "assert 'numpy' not in sys.modules"],
             capture_output=True, text=True, env=child_env(),
         )
