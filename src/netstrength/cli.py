@@ -23,12 +23,17 @@ from .graph import Graph, components
 logger = logging.getLogger(__name__)
 
 
-def _resolve_weights(spec: str, clamp: bool) -> metrics.WeightVector:
-    policy = metrics.EXTENSION_CLAMP if clamp else metrics.EXTENSION_ERROR
-    if spec == "default":
+def _resolve_weights(args: argparse.Namespace,
+                     needed: bool) -> metrics.WeightVector | None:
+    """``--weights`` under the ``--clamp-weights`` policy, if ``needed``."""
+    if not needed:
+        return None
+    policy = (metrics.EXTENSION_CLAMP if args.clamp_weights
+              else metrics.EXTENSION_ERROR)
+    if args.weights == "default":
         from .weights import default_weights
         return default_weights().with_policy(policy)
-    return metrics.load_weights(spec, policy)
+    return metrics.load_weights(args.weights, policy)
 
 
 def _metric_list(value: str) -> list[str]:
@@ -93,13 +98,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_strength(args: argparse.Namespace) -> int:
     graph = datasets.load_edge_list(args.graph)
     selected = list(metrics.METRIC_IDS) if args.all_metrics else args.metrics
-    weight_vector = None
-    if "proposed" in selected:
-        weight_vector = _resolve_weights(args.weights, args.clamp_weights)
+    weights = _resolve_weights(args, "proposed" in selected)
     # every row is computed from one traversal of the graph before any is
     # written: a failure leaves no output
     sizes = components(graph)
-    raws = [metrics.score(sizes, m, weight_vector) for m in selected]
+    raws = [metrics.score(sizes, m, weights) for m in selected]
     _write_or_print([datasets.csv_text(
         ["metric", "raw", "normalized"],
         [[m, raw, raw / graph.n] for m, raw in zip(selected, raws)],
@@ -160,28 +163,20 @@ def cmd_fit_weights(args: argparse.Namespace) -> int:
 def cmd_dismantle(args: argparse.Namespace) -> int:
     from . import dismantle
     graph = datasets.load_edge_list(args.graph)
-    weight_vector = None
-    if args.objective == "proposed" or args.emit_lp:
-        weight_vector = _resolve_weights(args.weights, args.clamp_weights)
+    weights = _resolve_weights(args, args.objective == "proposed"
+                               or bool(args.emit_lp))
     query = dismantle.DismantleQuery(
-        graph=graph,
-        k=args.k,
-        objective=args.objective,
-        weights=weight_vector if args.objective == "proposed" else None,
-        allow_fewer=not args.exact_size,
-        max_subsets=args.budget,
-    )
-    if args.emit_lp and not (args.clamp_weights
-                             or len(weight_vector) >= graph.n):
+        graph=graph, k=args.k, objective=args.objective, weights=weights,
+        allow_fewer=not args.exact_size, max_subsets=args.budget)
+    if args.emit_lp and not (args.clamp_weights or len(weights) >= graph.n):
         raise ValueError(f"--emit-lp needs weights for sizes 1..{graph.n}, "
-                         f"got {len(weight_vector)}; pass --clamp-weights")
+                         f"got {len(weights)}; pass --clamp-weights")
     result = dismantle.best_removal(query)
     # the model is built after the search succeeds and before its file is
     # opened: a refused or failed run or model leaves no file behind
     if args.emit_lp:
         from . import ilp
-        _write_or_print(ilp.render_ilp(graph, args.k, weight_vector),
-                        args.emit_lp)
+        _write_or_print(ilp.render_ilp(graph, args.k, weights), args.emit_lp)
         logger.info("wrote model to %s", args.emit_lp)
     _write_or_print(
         [json.dumps(result.to_json_dict(), sort_keys=True), "\n"], args.out
@@ -258,11 +253,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     graphs = datasets.load_graphs(args.graphs, gt, args.gt)
     _check_estimates(gt, graphs, args.gt)
     _check_outputs(args, graphs)
-    weight_vector = None
-    if "proposed" in args.metrics:
-        weight_vector = _resolve_weights(args.weights, args.clamp_weights)
-    result = evaluation.compare_suite(list(graphs.items()), gt, args.metrics,
-                                      weight_vector)
+    result = evaluation.compare_suite(
+        list(graphs.items()), gt, args.metrics,
+        _resolve_weights(args, "proposed" in args.metrics))
     _write_or_print([result.to_csv()], args.out)
     return 0
 

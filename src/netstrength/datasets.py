@@ -9,10 +9,11 @@ in ascending order; G(n, m) samples ``m`` distinct indices into the canonical
 pair list and decodes each to its pair, without building the list.
 
 Edge-list format: one edge per line as two whitespace-separated labels,
-``#`` comments and blank lines ignored. The writer additionally emits a
-``#! node <label>`` directive per isolated node (a plain edge list cannot
-express them); the parser honors the directive and treats every other
-``#`` line as a comment, so files stay readable by third-party tools.
+``#`` comments and blank lines ignored. A line that starts with ``#!`` is
+a directive, not a comment: the writer emits a ``#! node <label>``
+directive per isolated node (a plain edge list cannot express them), the
+parser honors it, and any other ``#!`` line is an error at ``file:line``.
+Third-party tools read every ``#`` line as a comment.
 
 Every CSV loader in the package reads its rows through :func:`read_rows`
 and its numeric cells through :func:`parse_cell`; every CSV table the
@@ -184,9 +185,9 @@ def graph_id_row(source: str | Path, graph_id: str) -> str:
 def graph_path(graph_dir: str | Path, graph_id: str) -> Path:
     """``<graph_dir>/<graph_id>.edges``, the file a graph id names. An id
     that is not one path component, so could name a file outside
-    ``graph_dir``, raises ``ValueError``."""
+    ``graph_dir`` or none (a NUL byte), raises ``ValueError``."""
     if graph_id in ("", ".", "..") or any(
-        sep in graph_id for sep in (os.sep, os.altsep) if sep
+        sep in graph_id for sep in (os.sep, os.altsep, "\0") if sep
     ):
         raise ValueError(f"graph id {graph_id!r} is not one path component")
     return Path(graph_dir) / f"{graph_id}.edges"
@@ -298,33 +299,39 @@ def read_rows(
     one that names a non-empty column twice, raises ``ValueError`` naming
     the file; a row too short to fill them raises ``ValueError`` naming
     ``file:line``, and so does a row with more cells than the header. Other
-    columns missing from a short row read as ``None``.
+    columns missing from a short row read as ``None``. A line ``csv``
+    cannot read (a cell over its field limit) raises ``ValueError`` at
+    ``file:line``.
     """
     with _read_text(path) as handle:
         reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        for index, name in enumerate(fields):
-            if name and name in fields[:index]:  # DictReader keeps the last
-                raise ValueError(
-                    f"{path}: column {name!r} appears twice in the header"
-                )
-        missing = [name for name in required if name not in fields]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            if None in row:  # DictReader files the surplus cells under None
-                raise ValueError(
-                    f"{path}:{reader.line_num}: row has {len(row[None])} "
-                    f"cell(s) more than the {len(fields)}-column header"
-                )
-            for name in required:
-                if row[name] is None:
+        try:
+            fields = reader.fieldnames or []
+            for index, name in enumerate(fields):
+                if name and name in fields[:index]:  # DictReader keeps last
                     raise ValueError(
-                        f"{path}:{reader.line_num}: row has no value for "
-                        f"{name!r}"
+                        f"{path}: column {name!r} appears twice in the header"
                     )
-                row[name] = row[name].strip()
-            yield reader.line_num, row
+            missing = [name for name in required if name not in fields]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}")
+            for row in reader:
+                if None in row:  # DictReader files surplus cells under None
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: row has {len(row[None])} "
+                        f"cell(s) more than the {len(fields)}-column header"
+                    )
+                for name in required:
+                    if row[name] is None:
+                        raise ValueError(
+                            f"{path}:{reader.line_num}: row has no value for "
+                            f"{name!r}"
+                        )
+                    row[name] = row[name].strip()
+                yield reader.line_num, row
+        except csv.Error as exc:  # DictReader counts only the rows it read
+            line_no = reader.reader.line_num
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

@@ -70,15 +70,11 @@ class DismantleQuery:
         if self.max_subsets is not None and self.max_subsets < 1:
             raise ValueError(f"candidate-set budget must be >= 1, "
                              f"got {self.max_subsets}")
-        if self.objective == "proposed" and self.weights is None:
-            raise ValueError("the proposed objective requires a weight vector")
-        # every partial sum of a residual's strength, rounding included, is
-        # within this bound, so no pricing order can meet inf or NaN
-        n = self.graph.n
-        if self.objective == "proposed" and not math.isfinite(
-                2 * n * max(map(abs, self.weights.weights[:n]))):
-            raise ValueError(f"weights for sizes 1..{n} could overflow a "
-                             f"float in the strength of a {n}-node graph")
+        if self.objective == "proposed":  # the others ignore weights
+            if self.weights is None:
+                raise ValueError(
+                    "the proposed objective requires a weight vector")
+            self.weights.check_overflow(self.graph.n)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,7 @@ def build_model(g: Graph, k: int, w: WeightVector) -> Model:
     """
     n = g.n
     _check_removal_size(k, n)
+    w.check_overflow(n)
     slots = range(1, n + 1)
     sizes = range(n + 1)
     # every name is formatted once: x[i - 1][j - 1], y[i - 1], m[j - 1][t],

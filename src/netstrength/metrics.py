@@ -72,6 +72,14 @@ class WeightVector:
     def with_policy(self, extension_policy: str) -> "WeightVector":
         return WeightVector(self.weights, extension_policy)
 
+    def check_overflow(self, n: int) -> None:
+        """``ValueError`` if sums over an ``n``-node graph could overflow."""
+        # every partial sum of a residual's strength, rounding included, is
+        # within this bound, so no pricing order can meet inf or NaN
+        if not math.isfinite(2 * n * max(map(abs, self.weights[:n]))):
+            raise ValueError(f"weights for sizes 1..{n} could overflow a float"
+                             f" in the strength of a {n}-node graph")
+
 
 @dataclass(frozen=True)
 class StrengthValue:

@@ -728,7 +728,10 @@ class TestOverflowingWeights:
         ["dismantle", "{dir}/g.edges", "--k", "1"],
         ["strength", "{dir}/g.edges"],
         ["compare", "--graphs", "{dir}", "--gt", "{dir}/gt.csv"],
-    ], ids=["dismantle", "strength", "compare"])
+        # the weights are the model's objective, whatever the search's
+        ["dismantle", "{dir}/g.edges", "--k", "1", "--objective", "cole2",
+         "--emit-lp", "{dir}/m.lp"],
+    ], ids=["dismantle", "strength", "compare", "dismantle-cole2-emit-lp"])
     def test_refused(self, capsys, tmp_path, command):
         (tmp_path / "g.edges").write_text("a b\nc d\n#! node e\n#! node f\n")
         (tmp_path / "w.csv").write_text("size,weight\n1,1e308\n2,-1e308\n")
@@ -739,6 +742,21 @@ class TestOverflowingWeights:
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "m.lp").exists()
+
+    def test_emit_lp_message(self, capsys, tmp_path):
+        """A cole2 search ignores the weights, but its model does not."""
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "w.csv").write_text(
+            "size,weight\n1,1\n2,1e308\n3,1\n4,1\n")
+        code, out, err = run_cli(
+            capsys, "dismantle", str(tmp_path / "g.edges"), "--k", "1",
+            "--objective", "cole2", "--weights", str(tmp_path / "w.csv"),
+            "--emit-lp", str(tmp_path / "m.lp"))
+        assert (code, out) == (1, "")
+        assert err == ("error: weights for sizes 1..4 could overflow a float "
+                       "in the strength of a 4-node graph\n")
+        assert not (tmp_path / "m.lp").exists()
 
 
 class TestEncoding:
@@ -923,11 +941,12 @@ class TestOneGraphPath:
 
     @pytest.mark.parametrize("rule", [
         "is outside [1, ", "budget k must satisfy", "unknown node id",
-        "u < v else",
+        "u < v else", "could overflow a float",
     ])
     def test_each_input_rule_is_written_once(self, rule):
-        """The estimate range, the removal size, the node-id range and
-        the canonical edge each have one home in the package source."""
+        """The estimate range, the removal size, the node-id range, the
+        canonical edge and the weight-overflow bound each have one home in
+        the package source."""
         package = Path(datasets.__file__).parent
         sources = (path.read_text(encoding="utf-8")
                    for path in package.glob("*.py"))
@@ -1014,6 +1033,18 @@ class TestGraphDirectory:
         )
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_graph_id_with_nul(self, capsys, tmp_path, command):
+        """A NUL byte names no file: the id is refused at its row, not
+        passed to ``open``."""
+        (tmp_path / "graphs").mkdir()
+        code, out, err = self.run(capsys, tmp_path, command, "a\0b")
+        assert (code, out) == (1, "")
+        row = tmp_path / self.SOURCE[command]
+        assert err == (
+            f"error: {row}:2: graph id 'a\\x00b' is not one path component\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_edge_list(self, capsys, tmp_path, command):
         (tmp_path / "graphs").mkdir()
         empty = tmp_path / "graphs" / "g0.edges"
@@ -1086,14 +1117,17 @@ class TestGraphDirectory:
         assert out
 
 
+# one character more than csv reads in a cell, as a cell and as a header
+_LONG = "x" * (csv.field_size_limit() + 1)
 _CELLS = st.sampled_from([
     "g0", "g1", "p1", "0", "1", "2", "3", "-1", "0.5", "1e400", "nan",
-    "x", "a b", "#", "1;2", "",
+    "x", "a b", "#", "1;2", "", _LONG,
 ])
 _HEADERS = (
     "graph_id,participant_id,estimate", "graph_id,mean_estimate",
     "graph_id,value", "graph_id,members", "graph_id,rank,members",
     "graph_id,rank,members,vote_share", "size,weight", "weight,size", "x",
+    _LONG,
 )
 
 
@@ -1171,6 +1205,41 @@ _OPTIONS = {
 # temporary directory
 _PATHS = {".", "suite", "model.lp", "out.txt", "fit.csv", "report.txt",
           "summary.txt"}
+
+
+class TestFieldLimit:
+    """A cell longer than ``csv``'s field limit is a ``file:line`` error, in
+    the header or in a row, for each kind of CSV the CLI reads."""
+
+    PAIR = ["eval", "--mode", "match", "--pred", "members.csv", "--gt",
+            "ranked.csv"]
+
+    @pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+    @pytest.mark.parametrize("name, argv", [
+        ("w.csv", ["strength", "g0.edges", "--weights", "w.csv"]),
+        ("survey.csv", ["fit-weights", "--survey", "survey.csv",
+                        "--graphs", "."]),
+        ("mean.csv", ["compare", "--graphs", ".", "--gt", "mean.csv"]),
+        ("members.csv", PAIR),
+        ("ranked.csv", PAIR),
+        ("values.csv", ["eval", "--mode", "strength", "--pred", "values.csv",
+                        "--gt", "mean.csv", "--graphs", "."]),
+    ], ids=["weights", "survey", "mean", "members", "ranked", "values"])
+    def test_long_cell(self, capsys, monkeypatch, tmp_path, name, argv,
+                       line):
+        monkeypatch.chdir(tmp_path)
+        for file_name, text in _VALID.items():
+            (tmp_path / file_name).write_text(text)
+        lines = _VALID[name].splitlines()
+        if line == 1:  # one more header cell
+            lines[0] += "," + _LONG
+        else:  # after one valid row
+            lines.insert(2, _LONG)
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {name}:{line}: field larger than field limit "
+                       f"({csv.field_size_limit()})\n")
 
 
 class TestFuzz:

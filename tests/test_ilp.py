@@ -213,6 +213,23 @@ class TestEmission:
         text = emit_ilp(path_graph(4), 1, short.with_policy(EXTENSION_CLAMP))
         assert "S_4" in text
 
+    def test_weights_that_could_overflow_are_refused(self):
+        """Finite weights whose objective coefficients or value could reach
+        inf are refused by every reader of the model, with the message of
+        the search's check."""
+        g = path_graph(4)
+        huge = WeightVector([1, 1e308, 1, 1])
+        message = ("weights for sizes 1..4 could overflow a float in the "
+                   "strength of a 4-node graph")
+        with pytest.raises(ValueError) as emitted:
+            emit_ilp(g, 1, huge)
+        with pytest.raises(ValueError) as verified:
+            verify_ilp_solution(g, 1, huge, honest_assignment(g, {1}))
+        assert str(emitted.value) == str(verified.value) == message
+        # only the weights of sizes 1..n count, and 2 * 4 * 1e307 is finite
+        large = WeightVector([1e307, 1, 1, 1, 1e308])
+        assert "1e+307 S_1" in emit_ilp(g, 1, large)
+
 
 def lp_corpus():
     """100 seeded models: n 2..16, k 1..3, signed weights under the error

@@ -115,6 +115,17 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="contiguous"):
             load_weights(path)
 
+    def test_overflow_bound_reads_sizes_one_to_n(self):
+        """``2 * n * max|w_s|`` over s <= n must be finite."""
+        w = WeightVector((1e307, -1e307, 1e308))
+        w.check_overflow(2)  # 2 * 2 * 1e307 is finite
+        with pytest.raises(ValueError, match=r"^weights for sizes 1\.\.3 "
+                           r"could overflow a float in the strength of a "
+                           r"3-node graph$"):
+            w.check_overflow(3)
+        with pytest.raises(ValueError, match="could overflow"):
+            WeightVector((1e308,), EXTENSION_CLAMP).check_overflow(1)
+
 
 class TestSigma:
     def test_connected_uses_weight_of_n(self):
