@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -110,32 +109,9 @@ def cmd_strength(args: argparse.Namespace) -> int:
     return 0
 
 
-def _import_numpy_on_one_thread() -> None:
-    """Import numpy with OpenBLAS on one thread, unless the caller chose.
-
-    OpenBLAS sizes its thread pool from the first of three variables that
-    is set, once, when numpy loads it. Starting the pool is about half of
-    numpy's import time, and the fit's system (one row per graph, one
-    column per size) is far too small to use a second thread. The variable
-    is set for this import alone: the caller's environment is left as it
-    was, and an already loaded numpy keeps its pool.
-    """
-    if "numpy" in sys.modules or any(
-        name in os.environ
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS")
-    ):
-        return
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
-
 def cmd_fit_weights(args: argparse.Namespace) -> int:
-    _import_numpy_on_one_thread()
     from . import weights
+    weights.check_ridge(args.ridge)
     dataset = weights.load_survey_csv(args.survey, args.graphs)
     _check_outputs(args, (record.graph_id for record in dataset.records))
     system = weights.build_system(dataset)
@@ -168,9 +144,11 @@ def cmd_dismantle(args: argparse.Namespace) -> int:
     query = dismantle.DismantleQuery(
         graph=graph, k=args.k, objective=args.objective, weights=weights,
         allow_fewer=not args.exact_size, max_subsets=args.budget)
-    if args.emit_lp and not (args.clamp_weights or len(weights) >= graph.n):
-        raise ValueError(f"--emit-lp needs weights for sizes 1..{graph.n}, "
-                         f"got {len(weights)}; pass --clamp-weights")
+    if args.emit_lp:  # the model's weights are checked before the search
+        if not (args.clamp_weights or len(weights) >= graph.n):
+            raise ValueError(f"--emit-lp needs weights for sizes 1..{graph.n}"
+                             f", got {len(weights)}; pass --clamp-weights")
+        weights.check_overflow(graph.n)
     result = dismantle.best_removal(query)
     # the model is built after the search succeeds and before its file is
     # opened: a refused or failed run or model leaves no file behind

@@ -320,6 +320,21 @@ class TestFitWeights:
             f"error: ridge parameter must be a finite number >= 0, got {ridge}\n"
         )
 
+    @pytest.mark.parametrize("ridge", ["nan", "-1"])
+    def test_lambda_is_checked_before_any_input_is_read(self, capfd,
+                                                        tmp_path, ridge):
+        # the survey names an edge list that is not there: the ridge error
+        # comes first, so neither file was read
+        survey = tmp_path / "survey.csv"
+        survey.write_text("graph_id,participant_id,estimate\nnope,p1,1\n")
+        code, out, err = run_cli(
+            capfd, "fit-weights", "--survey", str(survey),
+            "--graphs", str(tmp_path), "--lambda", ridge,
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: ridge parameter must be a finite number >= 0, "
+                       f"got {float(ridge)}\n")
+
     def test_stdout_weights_match_saved_file(self, capsys, tmp_path):
         survey, graph_dir, _ = self.write_suite(tmp_path)
         saved = tmp_path / "fit.csv"
@@ -402,6 +417,29 @@ class TestDismantle:
         assert (code, out) == (1, "")
         assert err == ("error: --emit-lp needs weights for sizes 1..5, got 3; "
                        "pass --clamp-weights\n")
+        assert not lp_path.exists()
+
+    def test_overflowing_emit_lp_weights_fail_before_the_search(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_search(query):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("netstrength.dismantle.best_removal", no_search)
+        target = tmp_path / "g.edges"
+        save_edge_list(path_graph(5), target)
+        weights_path = tmp_path / "w.csv"
+        weights_path.write_text(
+            metrics.weights_csv(WeightVector([1.0, 1e308])))
+        lp_path = tmp_path / "model.lp"
+        code, out, err = run_cli(
+            capsys, "dismantle", str(target), "--k", "2", "--objective",
+            "cole2", "--clamp-weights", "--weights", str(weights_path),
+            "--emit-lp", str(lp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: weights for sizes 1..5 could overflow a float "
+                       "in the strength of a 5-node graph\n")
         assert not lp_path.exists()
 
     def test_result_written_to_file(self, capsys, tmp_path):
@@ -1283,18 +1321,6 @@ class TestFuzz:
             assert last.startswith("error: "), (argv, err.getvalue())
 
 
-# OpenBLAS takes its thread count from the first of these that is set
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                    "OMP_NUM_THREADS")
-
-
-def blas_env(**chosen: str) -> dict[str, str]:
-    """child_env() in which only ``chosen`` sets a BLAS thread count."""
-    env = {name: value for name, value in child_env().items()
-           if name not in BLAS_THREAD_VARS}
-    return {**env, **chosen}
-
-
 class TestEntryPoint:
     def test_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
@@ -1364,55 +1390,33 @@ class TestEntryPoint:
             "1", "2", "3"
         ]
 
-    # every write to the three thread variables, and their values when
-    # numpy is imported, around one fit-weights run
-    BLAS_AUDIT = (
-        "import json, os, sys\n"
-        "if sys.argv[2] == 'numpy-loaded':\n"
-        "    import numpy\n"
-        "names = ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', "
-        "'OMP_NUM_THREADS')\n"
-        "events = []\n"
-        "def audit(event, args):\n"
-        "    if event in ('os.putenv', 'os.unsetenv') and "
-        "os.fsdecode(args[0]) in names:\n"
-        "        events.append([event, *map(os.fsdecode, args)])\n"
-        "    elif event == 'import' and args[0] == 'numpy':\n"
-        "        events.append([event, *map(os.environ.get, names)])\n"
-        "sys.addaudithook(audit)\n"
-        "before = dict(os.environ)\n"
+    # the modules an in-process fit-weights run leaves loaded: the exact fit
+    # needs neither numpy nor fractions
+    FIT_MODULES = (
+        "import sys\n"
         "from netstrength.cli import main\n"
-        "code = main(sys.argv[3:])\n"
-        "with open(sys.argv[1], 'w') as out:\n"
-        "    json.dump({'events': events,\n"
-        "               'restored': dict(os.environ) == before}, out)\n"
-        "sys.exit(code)\n"
+        "code = main(sys.argv[1:])\n"
+        "assert code == 0, code\n"
+        "loaded = [m for m in ('numpy', 'fractions') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
 
-    @pytest.mark.parametrize("chosen, start, events", [
-        ({}, "fresh", [["os.putenv", "OPENBLAS_NUM_THREADS", "1"],
-                       ["import", "1", None, None],
-                       ["os.unsetenv", "OPENBLAS_NUM_THREADS"]]),
-        ({"OPENBLAS_NUM_THREADS": "2"}, "fresh", [["import", "2", None, None]]),
-        ({"GOTO_NUM_THREADS": "2"}, "fresh", [["import", None, "2", None]]),
-        ({"OMP_NUM_THREADS": "2"}, "fresh", [["import", None, None, "2"]]),
-        ({}, "numpy-loaded", []),
-    ], ids=["unset", "openblas-set", "goto-set", "omp-set", "numpy-loaded"])
-    def test_fit_weights_pins_one_blas_thread_for_its_import_only(
-        self, tmp_path, chosen, start, events
-    ):
+    @pytest.mark.parametrize("ridge", ["0", "0.5"])
+    def test_fit_weights_loads_neither_numpy_nor_fractions(self, tmp_path,
+                                                           ridge):
         save_edge_list(path_graph(3), tmp_path / "g1.edges")
+        save_edge_list(disjoint_paths([1, 2]), tmp_path / "g2.edges")
         (tmp_path / "survey.csv").write_text(
-            "graph_id,participant_id,estimate\ng1,p1,2.5\n")
+            "graph_id,participant_id,estimate\ng1,p1,2.5\ng2,p1,1.5\n")
         proc = subprocess.run(
-            [sys.executable, "-c", self.BLAS_AUDIT, "audit.json", start,
-             "fit-weights", "--survey", "survey.csv", "--graphs", "."],
-            capture_output=True, text=True, env=blas_env(**chosen),
-            cwd=tmp_path,
+            [sys.executable, "-c", self.FIT_MODULES, "fit-weights",
+             "--survey", "survey.csv", "--graphs", ".", "--lambda", ridge],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        audit = json.loads((tmp_path / "audit.json").read_text())
-        assert audit == {"events": events, "restored": True}
+        assert [row["size"] for row in parse_csv(proc.stdout)] == [
+            "1", "2", "3"
+        ]
 
     def test_weights_import_leaves_numpy_unloaded(self):
         # building the design matrix needs no numpy either: only the fit
@@ -1501,18 +1505,20 @@ class TestGoldenOutput:
         "gfp": '{"k": 3, "objective": "gfp", "removed": ["0", "3", "4"], '
                '"residual_value": 1.9090909090909092, "ties": 1}\n',
     }
+    # each weight is the float nearest the exact least-squares solution, and
+    # three equations of rank 3 are met exactly
     FIT_WEIGHTS = (
         "size,weight\n"
-        "1,0.1353653204006996\n"
+        "1,0.13536532040069962\n"
         "2,0.0\n3,0.0\n4,0.0\n5,0.0\n6,0.0\n7,0.0\n8,0.0\n9,0.0\n"
         "10,0.0\n11,0.0\n"
-        "12,0.6128557799332168\n"
-        "13,0.4318949753537923\n"
+        "12,0.6128557799332167\n"
+        "13,0.43189497535379234\n"
         "14,0.26785714285714285\n"
     )
     FIT_REPORT = (
         '{"graphs": 3, "lambda": 0.0, "rank": 3, '
-        '"residual_norm": 8.881784197001252e-16, "size_limit": 14}\n'
+        '"residual_norm": 0.0, "size_limit": 14}\n'
     )
 
     @pytest.fixture
@@ -1574,40 +1580,6 @@ class TestGoldenOutput:
         )
         assert (code, out) == (0, self.FIT_WEIGHTS)
         assert report.read_text() == self.FIT_REPORT
-
-    @pytest.mark.parametrize("ridge", [(), ("--lambda", "0.5")],
-                             ids=["lstsq", "ridge"])
-    def test_fit_weights_bytes_do_not_depend_on_blas_threads(
-        self, suite, tmp_path, ridge
-    ):
-        survey = tmp_path / "survey.csv"
-        survey.write_text(
-            "graph_id,participant_id,estimate\n"
-            "graph_0,p1,5.5\ngraph_0,p2,6\ngraph_1,p1,7.25\n"
-            "graph_1,p2,8\ngraph_2,p1,3\ngraph_2,p3,4.5\n"
-        )
-        # --report leaves the weights on stdout, --out-weights the report
-        runs = {}
-        for threads, env in (("unset", blas_env()),
-                             ("two", blas_env(OPENBLAS_NUM_THREADS="2"))):
-            for flag in ("--report", "--out-weights"):
-                path = tmp_path / f"{threads}{flag}"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "netstrength.cli", "fit-weights",
-                     "--survey", str(survey), "--graphs", str(suite),
-                     *ridge, flag, str(path)],
-                    capture_output=True, env=env,
-                )
-                assert proc.returncode == 0, proc.stderr
-                runs[threads, flag] = (proc.stdout, proc.stderr,
-                                       path.read_bytes())
-        for flag in ("--report", "--out-weights"):
-            assert runs["unset", flag] == runs["two", flag]
-        if not ridge:
-            weights = self.FIT_WEIGHTS.encode()
-            report = self.FIT_REPORT.encode()
-            assert runs["unset", "--report"][::2] == (weights, report)
-            assert runs["unset", "--out-weights"][::2] == (report, weights)
 
     def test_fit_weights_logs_unseen_sizes(self, capsys, suite, tmp_path):
         survey = tmp_path / "survey.csv"

@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import random
 import re
 import subprocess
 import sys
 import typing
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import child_env, disjoint_paths, path_graph
 from netstrength import weights
-from netstrength.datasets import save_edge_list
+from netstrength.datasets import GNP, GeneratorSpec, generate, save_edge_list
 from netstrength.graph import Graph
 from netstrength.metrics import WeightVector, load_weights, sigma, weights_csv
 from netstrength.weights import (
@@ -20,6 +22,7 @@ from netstrength.weights import (
     SurveyDataset,
     SurveyRecord,
     build_system,
+    check_ridge,
     default_weights,
     fit_weights,
     load_survey_csv,
@@ -127,9 +130,10 @@ class TestFitWeights:
             graph_ids=("a",),
         )
         result = fit_weights(dm)
-        assert result.weights.weights == pytest.approx((0.0, 0.0, 2.6 / 3))
+        # the float quotient is the float nearest the exact one
+        assert result.weights.weights == (0.0, 0.0, 2.6 / 3)
         assert result.rank == 1
-        assert result.residual_norm == pytest.approx(0.0, abs=1e-12)
+        assert result.residual_norm == 0.0
 
     def test_recovers_generating_weights(self):
         generating = [1.0, 0.72, 0.88, 0.61, 0.94, 0.57]
@@ -228,6 +232,175 @@ class TestFitWeights:
         assert result.residual_norm == pytest.approx(
             float(np.linalg.norm(matrix @ w - target))
         )
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of rational rows, and the pivot columns."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        found = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def null_space(matrix: list[list[Fraction]], width: int) -> list[list[Fraction]]:
+    """A basis of the vectors that ``matrix`` maps to zero."""
+    reduced, pivots = rref(matrix)
+    basis = []
+    for free in (k for k in range(width) if k not in pivots):
+        vector = [Fraction(0)] * width
+        vector[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vector[col] = -row[free]
+        basis.append(vector)
+    return basis
+
+
+def dot(u, v) -> Fraction:
+    return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+
+def exact_fit(matrix, target, ridge):
+    """The least-norm solution of the (ridge) normal equations in exact
+    rationals, with ``A``, ``b`` and ``ridge`` as rationals."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    b = [Fraction(t) for t in target]
+    lam = Fraction(ridge)
+    width = len(a[0])
+    columns = list(zip(*a))
+    normal = [[dot(columns[i], columns[j]) + (lam if i == j else 0)
+               for j in range(width)] + [dot(columns[i], b)]
+              for i in range(width)]
+    reduced, pivots = rref(normal)
+    x = [Fraction(0)] * width
+    for row, col in zip(reduced, pivots):
+        x[col] = row[-1]
+    # take out the part of x in the null space of A; a ridge solution has none
+    basis = null_space(a, width)
+    if basis:
+        coefficients = [row[-1] for row in rref(
+            [[dot(u, v) for v in basis] + [dot(u, x)] for u in basis])[0]]
+        x = [xi - sum(c * u[i] for c, u in zip(coefficients, basis))
+             for i, xi in enumerate(x)]
+    return x, a, b, lam
+
+
+def random_system(rng: random.Random):
+    """A small system with integer or float entries, and maybe a zero
+    column, a repeated row and a column twice another."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+    floats = rng.random() < 0.5
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return rng.uniform(-4, 4) if floats else rng.randint(-6, 9)
+
+    matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if cols > 1 and rng.random() < 0.3:
+        zero = rng.randrange(cols)
+        for row in matrix:
+            row[zero] = 0
+    if rows > 1 and rng.random() < 0.3:
+        matrix[-1] = list(matrix[0])
+    if cols > 1 and rng.random() < 0.3:
+        for row in matrix:
+            row[-1] = 2 * row[0]
+    target = [rng.uniform(1, 10) if rng.random() < 0.7 else rng.randint(1, 20)
+              for _ in range(rows)]
+    return matrix, target
+
+
+def golden_system() -> DesignMatrix:
+    """The CLI's golden suite: three G(14, 0.13) graphs, seed 3."""
+    graphs = generate(GeneratorSpec(model=GNP, n=14, p=0.13, seed=3, count=3))
+    means = (5.75, 7.625, 3.75)
+    return build_system(SurveyDataset(tuple(
+        record(f"graph_{i}", graph, mean)
+        for i, (graph, mean) in enumerate(zip(graphs, means))
+    )))
+
+
+class TestExactFit:
+    """Each fitted weight is the float nearest the exact least-squares
+    solution, checked against an independent rational oracle."""
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3, 0.5, 3])
+    def test_random_systems_round_the_exact_solution(self, ridge):
+        rng = random.Random(f"exact-fit:{ridge}")
+        for _ in range(50):
+            matrix, target = random_system(rng)
+            x, a, b, lam = exact_fit(matrix, target, ridge)
+            residual = [dot(row, x) - t for row, t in zip(a, b)]
+            # the oracle meets the normal equations A^T (A x - b) + lam x = 0
+            for i, column in enumerate(zip(*a)):
+                assert dot(column, residual) + lam * x[i] == 0
+            if not lam:  # and is the least-norm solution
+                for u in null_space(a, len(x)):
+                    assert dot(u, x) == 0
+            result = fit_weights(
+                DesignMatrix(matrix, target, ("g",) * len(matrix)), ridge)
+            assert [w.hex() for w in result.weights.weights] == [
+                float(v).hex() for v in x], (matrix, target)
+            assert result.rank == len(rref(a)[1])
+            assert result.residual_norm == pytest.approx(
+                float(dot(residual, residual)) ** 0.5, rel=1e-15, abs=0)
+
+            reference = np.linalg.lstsq(
+                np.vstack([np.array(matrix, dtype=float),
+                           np.sqrt(ridge) * np.eye(len(x))]),
+                np.concatenate([target, np.zeros(len(x))]), rcond=None)[0]
+            scale = max(1.0, float(np.abs(reference).max()))
+            assert np.abs(np.array(result.weights.weights) - reference).max(
+            ) <= 1e-9 * scale
+
+    def test_golden_suite_residual_is_exactly_zero(self):
+        dm = golden_system()
+        result = fit_weights(dm)
+        assert (result.residual_norm, result.rank) == (0.0, 3)
+        x, *_ = exact_fit(dm.matrix, dm.target, 0)
+        assert result.weights.weights == tuple(map(float, x))
+
+    def test_numpy_and_python_inputs_fit_alike(self):
+        dm = golden_system()
+        expected = fit_weights(dm, ridge=0.5)
+        for matrix, target, ridge in (
+            (np.array(dm.matrix), np.array(dm.target), np.float64(0.5)),
+            (np.array(dm.matrix, dtype=np.float32), list(dm.target), 0.5),
+            ([list(map(np.int64, row)) for row in dm.matrix], dm.target,
+             Fraction(1, 2)),
+        ):
+            assert fit_weights(DesignMatrix(matrix, target, dm.graph_ids),
+                               ridge=ridge) == expected
+
+    def test_weight_beyond_the_largest_float_is_refused(self):
+        dm = DesignMatrix(((0.5,),), (1.5e308,), ("a",))
+        with pytest.raises(ValueError, match="fitted weight for size 1 "
+                                             "overflows a float"):
+            fit_weights(dm)
+
+
+class TestCheckRidge:
+    @pytest.mark.parametrize("ridge", [0, 0.0, 0.5, 1e300, np.float64(3)])
+    def test_accepted(self, ridge):
+        check_ridge(ridge)
+
+    @pytest.mark.parametrize("ridge", [-1.0, -1e-300, float("nan"),
+                                       float("inf"), np.float64("nan")])
+    def test_refused_with_one_message(self, ridge):
+        with pytest.raises(ValueError, match=re.escape(
+            f"ridge parameter must be a finite number >= 0, got {ridge}"
+        )):
+            check_ridge(ridge)
 
 
 class TestSurveyCsv:
