@@ -95,8 +95,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_strength(args: argparse.Namespace) -> int:
+    if args.all_metrics and args.metrics:  # one of them would go unread
+        raise ValueError("--metrics and --all-metrics exclude each other")
     graph = datasets.load_edge_list(args.graph)
-    selected = list(metrics.METRIC_IDS) if args.all_metrics else args.metrics
+    selected = (list(metrics.METRIC_IDS) if args.all_metrics
+                else args.metrics or ["proposed"])
     weights = _resolve_weights(args, "proposed" in selected)
     # every row is computed from one traversal of the graph before any is
     # written: a failure leaves no output
@@ -270,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                               parents=[weighted])
     strength.add_argument("graph", help="edge-list file")
     strength.add_argument("--metrics", type=_metric_list,
-                          default=["proposed"],
                           help="comma-separated metric ids")
     strength.add_argument("--all-metrics", action="store_true")
     strength.set_defaults(func=cmd_strength)

@@ -29,11 +29,10 @@ import logging
 import math
 import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph
 
@@ -127,8 +126,7 @@ class EdgeListFile:
 
     @classmethod
     def parse(cls, path: str | Path) -> "EdgeListFile":
-        with _read_text(path) as handle:
-            return cls.parse_lines(handle, source=str(path))
+        return cls.parse_lines(_read_text(path), source=str(path))
 
     @classmethod
     def parse_lines(
@@ -267,26 +265,19 @@ def write_suite(
     return paths
 
 
-@contextmanager
-def _read_text(path: str | Path) -> Iterator[TextIO]:
-    """Open UTF-8 text, skipping a leading byte-order mark; lines keep their
-    ``\\n``, ``\\r\\n`` or ``\\r`` ending, as ``csv`` needs. A byte that is not
-    UTF-8 raises ``ValueError`` at ``file:line``: the decoder counts from
-    its own buffer, so this error path reads the bytes again for the line."""
+def _read_text(path: str | Path) -> io.StringIO:
+    """The file's text, decoded whole before any line is parsed, less a
+    leading byte-order mark; lines keep their ``\\n``, ``\\r\\n`` or ``\\r``
+    ending. A byte that is not UTF-8 is a ``ValueError`` at ``file:line``."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            yield handle
-    except UnicodeDecodeError:
-        lines = Path(path).read_bytes().splitlines()
-        for line_no, line in enumerate(lines, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{line_no}: not UTF-8: byte "
-                    f"{line[exc.start]:#04x} in column {exc.start + 1}"
-                ) from None
-        raise  # the file changed since it was read
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:  # exc.object: the bytes read
+        data = exc.object
+        lines = (data[:exc.start] + b"?").splitlines()  # "?": the bad byte
+        raise ValueError(f"{path}:{len(lines)}: not UTF-8: byte "
+                         f"{data[exc.start]:#04x} in column "
+                         f"{len(lines[-1])}") from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline="")
 
 
 def read_rows(
@@ -303,35 +294,34 @@ def read_rows(
     cannot read (a cell over its field limit) raises ``ValueError`` at
     ``file:line``.
     """
-    with _read_text(path) as handle:
-        reader = csv.DictReader(handle)
-        try:
-            fields = reader.fieldnames or []
-            for index, name in enumerate(fields):
-                if name and name in fields[:index]:  # DictReader keeps last
+    reader = csv.DictReader(_read_text(path))
+    try:
+        fields = reader.fieldnames or []
+        for index, name in enumerate(fields):
+            if name and name in fields[:index]:  # DictReader keeps last
+                raise ValueError(
+                    f"{path}: column {name!r} appears twice in the header"
+                )
+        missing = [name for name in required if name not in fields]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        for row in reader:
+            if None in row:  # DictReader files surplus cells under None
+                raise ValueError(
+                    f"{path}:{reader.line_num}: row has {len(row[None])} "
+                    f"cell(s) more than the {len(fields)}-column header"
+                )
+            for name in required:
+                if row[name] is None:
                     raise ValueError(
-                        f"{path}: column {name!r} appears twice in the header"
+                        f"{path}:{reader.line_num}: row has no value for "
+                        f"{name!r}"
                     )
-            missing = [name for name in required if name not in fields]
-            if missing:
-                raise ValueError(f"{path}: missing columns {missing}")
-            for row in reader:
-                if None in row:  # DictReader files surplus cells under None
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: row has {len(row[None])} "
-                        f"cell(s) more than the {len(fields)}-column header"
-                    )
-                for name in required:
-                    if row[name] is None:
-                        raise ValueError(
-                            f"{path}:{reader.line_num}: row has no value for "
-                            f"{name!r}"
-                        )
-                    row[name] = row[name].strip()
-                yield reader.line_num, row
-        except csv.Error as exc:  # DictReader counts only the rows it read
-            line_no = reader.reader.line_num
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
+                row[name] = row[name].strip()
+            yield reader.line_num, row
+    except csv.Error as exc:  # DictReader counts only the rows it read
+        line_no = reader.reader.line_num
+        raise ValueError(f"{path}:{line_no}: {exc}") from None
 
 
 def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:

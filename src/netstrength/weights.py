@@ -8,7 +8,7 @@ bundled 30-entry default fitted on the original survey corpus ships with
 the package.
 
 The fit is exact. Each matrix entry, target and ridge parameter is read as
-the rational number it holds (``float.as_integer_ratio``), the normal
+the rational number it holds (its ``as_integer_ratio``), the normal
 equations are solved over the integers by fraction-free elimination, each
 row divided by the gcd of its entries, and each weight is rounded once, by
 Python's correctly rounded integer division. So every fitted weight is the
@@ -78,12 +78,22 @@ class DesignMatrix:
 
     ``matrix[j][i-1] = i * count_i(G_j)``, an exact integer, and
     ``target[j]`` is the mean estimate for graph ``j``. Column count is the
-    largest component size observed anywhere in the dataset.
+    largest component size observed anywhere in the dataset; no rows, empty
+    or ragged rows, or targets or ids not one per row raise ``ValueError``.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     target: tuple[float, ...]
     graph_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not (len(self.matrix) and self.size_limit and all(
+                len(row) == self.size_limit for row in self.matrix)):
+            raise ValueError("design matrix needs rows, of one length > 0")
+        if not len(self.matrix) == len(self.target) == len(self.graph_ids):
+            raise ValueError(f"design matrix has {len(self.matrix)} row(s), "
+                             f"{len(self.target)} target(s) and "
+                             f"{len(self.graph_ids)} graph id(s)")
 
     @property
     def size_limit(self) -> int:
@@ -238,13 +248,10 @@ _RHS = -1  # the key of a sparse row's right-hand side
 
 def _exact(value: float) -> tuple[int, int]:
     """A real number as the ``(numerator, denominator)`` it holds."""
-    if not isinstance(value, float):
-        try:
-            return operator.index(value), 1
-        except TypeError:  # a real that is not an integer: float32, say
-            value = float(value)
     try:
         return value.as_integer_ratio()
+    except AttributeError:  # a numpy int has no ratio
+        return operator.index(value), 1
     except (OverflowError, ValueError):
         raise ValueError("design matrix and target must be finite") from None
 

@@ -131,6 +131,15 @@ class TestStrength:
         assert len(parse_csv(out)) == 4
         assert len(calls) == 1
 
+    def test_metrics_with_all_metrics_refused(self, capsys, tmp_path,
+                                              monkeypatch):
+        # refused before the graph is read: the file does not exist
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "strength", "g.edges", "--metrics",
+                                 "cole1", "--all-metrics")
+        assert (code, out) == (1, "")
+        assert err == "error: --metrics and --all-metrics exclude each other\n"
+
     def test_empty_graph_writes_no_rows(self, capsys, tmp_path):
         target = tmp_path / "empty.edges"
         save_edge_list(Graph.build(0), target)

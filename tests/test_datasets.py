@@ -446,8 +446,25 @@ class TestEncoding:
             f"column 2"
         )
 
+    @pytest.mark.parametrize("load, text", _CSV_LOADERS + [
+        (load_edge_list, "a b\nb c\n"),
+    ], ids=_CSV_IDS + ["edge_list"])
+    def test_byte_found_before_an_earlier_bad_row(self, tmp_path, load, text):
+        # the whole file is decoded before any row is read, so a large file
+        # reports the same error as a small one
+        first, row = text.splitlines()[:2]
+        lines = [first, row + ",x y"] + [row] * 20_000
+        path = tmp_path / "input.txt"
+        path.write_bytes("\n".join(lines).encode() + b"\n\xff\n")
+        with pytest.raises(ValueError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == (
+            f"{path}:20003: not UTF-8: byte 0xff in column 1"
+        )
+
     def test_line_found_past_the_decoder_buffer(self, tmp_path):
-        # the decoder reads in chunks, so its own offset is not the file's
+        # line and column are counted over the whole file's bytes, here
+        # far past the first 8 KiB
         path = tmp_path / "long.edges"
         path.write_bytes(b"a b\n" * 5000 + b"c \xff\n")
         with pytest.raises(ValueError, match=(

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import typing
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +331,29 @@ def golden_system() -> DesignMatrix:
     )))
 
 
+class TestDesignMatrixShape:
+    """A system the fit cannot hold is refused when it is built."""
+
+    @pytest.mark.parametrize("matrix, target, graph_ids, message", [
+        ((), (), (), "design matrix needs rows, of one length > 0"),
+        (((),), (1.0,), ("a",), "design matrix needs rows, of one length > 0"),
+        (((1, 0), (0, 2, 3)), (1.0, 2.0), ("a", "b"),
+         "design matrix needs rows, of one length > 0"),
+        (((1,), (2,)), (1.0, 2.0, 3.0), ("a", "b"),
+         "design matrix has 2 row(s), 3 target(s) and 2 graph id(s)"),
+        (((1,), (2,)), (1.0,), ("a", "b"),
+         "design matrix has 2 row(s), 1 target(s) and 2 graph id(s)"),
+        (((1,), (2,)), (1.0, 2.0), ("a",),
+         "design matrix has 2 row(s), 2 target(s) and 1 graph id(s)"),
+        (np.eye(2), np.ones(3), ("a", "b"),
+         "design matrix has 2 row(s), 3 target(s) and 2 graph id(s)"),
+    ], ids=["no-row", "no-column", "ragged", "extra-target", "short-target",
+            "short-ids", "numpy"])
+    def test_refused(self, matrix, target, graph_ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DesignMatrix(matrix, target, graph_ids)
+
+
 class TestExactFit:
     """Each fitted weight is the float nearest the exact least-squares
     solution, checked against an independent rational oracle."""
@@ -381,6 +405,20 @@ class TestExactFit:
         ):
             assert fit_weights(DesignMatrix(matrix, target, dm.graph_ids),
                                ridge=ridge) == expected
+
+    @pytest.mark.parametrize("target", [
+        Fraction(55475, 13249), Fraction(1, 3), Decimal("4.18710846101592573"),
+        Decimal("3.3"),
+    ])
+    def test_fraction_and_decimal_targets_are_read_exactly(self, target):
+        # a float of the target would be rounded before the exact read
+        dm = DesignMatrix(((35,),), (target,), ("a",))
+        x, *_ = exact_fit(dm.matrix, dm.target, 0)
+        assert fit_weights(dm).weights.weights == (float(x[0]),)
+
+    def test_str_target_is_refused(self):
+        with pytest.raises(TypeError):
+            fit_weights(DesignMatrix(((1,),), ("3",), ("a",)))
 
     def test_weight_beyond_the_largest_float_is_refused(self):
         dm = DesignMatrix(((0.5,),), (1.5e308,), ("a",))
