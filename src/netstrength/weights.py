@@ -64,7 +64,7 @@ class SurveyRecord:
 
     @property
     def mean_estimate(self) -> float:
-        return sum(self.estimates) / len(self.estimates)
+        return math.fsum(self.estimates) / len(self.estimates)
 
 
 @dataclass(frozen=True)
@@ -194,53 +194,27 @@ def _solve_scaled(rows: list[dict[int, int]], b: list[int], q: int, mu: int
     least-norm one if ``mu`` is 0, as column -> ``(numerator, denominator)``
     over the columns ``rows`` use, and the rank of ``A``.
 
-    A column that only one row has is that row's own. Minimizing over a
-    row's own columns first leaves the row's equation with weight
-    ``q * mu / (q * alpha + mu)`` on the shared columns, ``alpha`` the sum
-    of squares of its own entries; at ``mu`` = 0 the equation is met
-    exactly and drops out, and each row with a column of its own adds one
-    to the rank. The normal equations of the shared columns are solved by
-    elimination, columns in fewer of the remaining rows first. At ``mu`` =
-    0 the free directions left span the null space of ``A``, and a second,
-    nonsingular solve picks the solution orthogonal to it.
+    The normal equations of every used column are solved by one
+    elimination, columns in fewer rows first, so a size seen in one graph
+    only is eliminated before the sizes graphs share. At ``mu`` = 0 the
+    free directions left span the null space of ``A``, so they give the
+    rank, and a second, nonsingular solve picks the solution orthogonal to
+    them; a ridge leaves none, and ``A`` is reduced on its own for the rank.
     """
     counts = Counter(s for row in rows for s in row)
-    shared = [{s: x for s, x in row.items() if counts[s] > 1} for row in rows]
-    own = {j: sum(x * x for s, x in row.items() if counts[s] == 1)
-           for j, row in enumerate(rows) if len(shared[j]) < len(row)}
-    kept = [row for j, row in enumerate(shared) if j not in own]
-    kept_counts = Counter(s for row in kept for s in row)
-    order = sorted((s for s in counts if counts[s] > 1),
-                   key=lambda s: (kept_counts[s], s))
-    equations = [(row, b[j], q * mu, q * own[j] + mu) if j in own
-                 else (row, b[j], q, 1) for j, row in enumerate(shared)]
-    values, free, scale = _solve(_normal_rows(equations, mu, order), order)
-    if mu:
-        rank = len(own) + len(_echelon(kept, order))
-    else:
-        rank = len(own) + len(order) - len(free)
-    if free:
-        # the y of least |v|^2, own columns included (a row's own entries
-        # add its residual^2 / alpha): a least-squares problem in y
-        least_norm = [(_sparse(vec[1:], free), -vec[0], 1, 1)
+    order = sorted(counts, key=lambda s: (counts[s], s))
+    values, free, scale = _solve(
+        _normal_rows(list(zip(rows, b)), q, mu, order), order)
+    rank = len(_echelon(rows, order)) if mu else len(order) - len(free)
+    if free:  # the y of least |v|^2: a least-squares problem in y
+        least_norm = [({k: x for k, x in zip(free, vec[1:]) if x}, -vec[0])
                       for vec in values.values()]
-        for j, alpha in own.items():
-            vec = _affine(shared[j], values, len(free))
-            least_norm.append((_sparse(vec[1:], free), scale * b[j] - vec[0],
-                               1, alpha))
-        y, _, y_scale = _solve(_normal_rows(least_norm, 0, free), free)
+        y, _, y_scale = _solve(_normal_rows(least_norm, 1, 0, free), free)
         point = [y_scale, *(y[k][0] for k in free)]
         values = {c: [sum(map(operator.mul, vec, point))]
                   for c, vec in values.items()}
         scale *= y_scale
-    solution = {c: (vec[0], scale) for c, vec in values.items()}
-    for j, alpha in own.items():
-        residual = scale * b[j] - sum(
-            x * values[c][0] for c, x in shared[j].items())
-        for s, x in rows[j].items():
-            if counts[s] == 1:
-                solution[s] = (q * x * residual, scale * (q * alpha + mu))
-    return solution, rank
+    return {c: (vec[0], scale) for c, vec in values.items()}, rank
 
 
 _RHS = -1  # the key of a sparse row's right-hand side
@@ -256,10 +230,6 @@ def _exact(value: float) -> tuple[int, int]:
         raise ValueError("design matrix and target must be finite") from None
 
 
-def _sparse(vec: list[int], keys: list[int]) -> dict[int, int]:
-    return {k: x for k, x in zip(keys, vec) if x}
-
-
 def _affine(row: dict[int, int], values: dict[int, list[int]],
             free: int) -> list[int]:
     """``row . v`` as ``[constant, coefficient of each free column]``."""
@@ -270,25 +240,21 @@ def _affine(row: dict[int, int], values: dict[int, list[int]],
     return vec
 
 
-def _normal_rows(equations: list[tuple[dict[int, int], int, int, int]],
+def _normal_rows(equations: list[tuple[dict[int, int], int]], weight: int,
                  ridge: int, order: list[int]) -> list[dict[int, int]]:
-    """Integer normal equations of ``sum(weight * (row . v - target)^2) +
+    """Integer normal equations of ``weight * sum((row . v - target)^2) +
     ridge * ||v||^2``, one row per column of ``order``; each equation is
-    ``(row, target, weight numerator, weight denominator)``."""
-    scale = math.lcm(*(den for _, _, num, den in equations if num))
+    ``(row, target)``."""
     gram: dict[int, dict[int, int]] = {c: {} for c in order}
-    for row, target, num, den in equations:
-        if not num:
-            continue
-        factor = num * (scale // den)
+    for row, target in equations:
         for s, x in row.items():
-            fx, into = factor * x, gram[s]
+            fx, into = weight * x, gram[s]
             for t, y in row.items():
                 into[t] = into.get(t, 0) + fx * y
             into[_RHS] = into.get(_RHS, 0) + fx * target
     if ridge:
         for c in order:
-            gram[c][c] = gram[c].get(c, 0) + ridge * scale
+            gram[c][c] = gram[c].get(c, 0) + ridge
     return [gram[c] for c in order]
 
 
@@ -362,7 +328,9 @@ def load_survey_csv(path: str | Path, graph_dir: str | Path) -> SurveyDataset:
     """Read a ``graph_id,participant_id,estimate`` CSV.
 
     Each referenced graph is loaded from ``<graph_dir>/<graph_id>.edges``.
-    Records are ordered by graph id so the fitted system is reproducible.
+    Records are ordered by graph id, and a graph's mean estimate divides
+    the correctly rounded sum of its estimates, so the fitted system does
+    not depend on the order of the rows.
     An estimate outside ``[1, n]`` for its graph, or a second estimate from
     one participant for one graph, raises ``ValueError`` naming
     ``file:line``.

@@ -360,6 +360,30 @@ class TestFitWeights:
         assert code == 0
         assert stdout_weights.encode("utf-8") == saved.read_bytes()
 
+    def test_participant_row_order_does_not_move_the_output(self, capsys,
+                                                            tmp_path):
+        # 1.1 + 2.2 + 2.9 and 2.9 + 2.2 + 1.1 are different floats
+        save_edge_list(path_graph(3), tmp_path / "a.edges")
+        save_edge_list(disjoint_paths([2, 2]), tmp_path / "b.edges")
+        estimates = {"a": ["1.1", "2.2", "2.9"], "b": ["1.1", "1.2", "1.3"]}
+        outputs = []
+        for order in (1, -1):
+            lines = ["graph_id,participant_id,estimate"]
+            for graph_id, values in estimates.items():
+                lines += [f"{graph_id},p{i},{value}"
+                          for i, value in enumerate(values)][::order]
+            survey = tmp_path / f"survey{order}.csv"
+            survey.write_text("\n".join(lines) + "\n")
+            fit, report = tmp_path / f"fit{order}.csv", tmp_path / f"r{order}"
+            code, _, _ = run_cli(
+                capsys, "fit-weights", "--survey", str(survey),
+                "--graphs", str(tmp_path), "--out-weights", str(fit),
+                "--report", str(report),
+            )
+            assert code == 0
+            outputs.append((fit.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestDismantle:
     def test_result_json_uses_labels(self, capsys, tmp_path):

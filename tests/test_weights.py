@@ -321,6 +321,20 @@ def random_system(rng: random.Random):
     return matrix, target
 
 
+def survey_system(rng: random.Random):
+    """A survey-shaped system: a few sparse G(n, p) graphs with random mean
+    estimates, so most sizes are seen in one graph only and a graph that
+    has two or more of them leaves the system rank-deficient."""
+    graphs = [generate(GeneratorSpec(model=GNP, n=rng.randint(6, 24),
+                                     p=rng.uniform(0.03, 0.15),
+                                     seed=rng.randrange(2**31)))[0]
+              for _ in range(rng.randint(2, 6))]
+    dm = build_system(SurveyDataset(tuple(
+        record(f"g{j}", graph, rng.uniform(1, graph.n))
+        for j, graph in enumerate(graphs))))
+    return dm.matrix, dm.target
+
+
 def golden_system() -> DesignMatrix:
     """The CLI's golden suite: three G(14, 0.13) graphs, seed 3."""
     graphs = generate(GeneratorSpec(model=GNP, n=14, p=0.13, seed=3, count=3))
@@ -361,8 +375,9 @@ class TestExactFit:
     @pytest.mark.parametrize("ridge", [0.0, 1e-3, 0.5, 3])
     def test_random_systems_round_the_exact_solution(self, ridge):
         rng = random.Random(f"exact-fit:{ridge}")
-        for _ in range(50):
-            matrix, target = random_system(rng)
+        systems = [random_system(rng) for _ in range(50)]
+        systems += [survey_system(rng) for _ in range(20)]
+        for matrix, target in systems:
             x, a, b, lam = exact_fit(matrix, target, ridge)
             residual = [dot(row, x) - t for row, t in zip(a, b)]
             # the oracle meets the normal equations A^T (A x - b) + lam x = 0
